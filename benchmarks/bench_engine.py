@@ -4,8 +4,8 @@ The always-on deployment analyzes one recorded execution with many
 configurations.  The old harness path re-iterates (and, offline,
 re-parses) the trace once per configuration — ``O(analyses × events)``;
 the :class:`~repro.core.engine.MultiRunner` pays one iteration *and*
-shares cross-analysis work (one HB clock bank for the WCP family, one
-same-epoch redundancy check for all tiers).  Three scenarios:
+shares cross-analysis work (one same-epoch redundancy check for all
+tiers).  Three scenarios:
 
 * **offline / streaming** (the headline): each sequential run streams the
   recorded trace file from disk, as every ``repro analyze`` invocation
@@ -14,10 +14,9 @@ same-epoch redundancy check for all tiers).  Three scenarios:
   pays the lazy parse N times).
 * **in-memory**: with the trace already materialized, handler work
   dominates — and the engine must now *beat* sequential re-iteration
-  (``>= 1.15x``), because the shared HB bank computes the WCP family's
-  HB joins once per event instead of once per analysis, and the shared
-  same-epoch filter dispatches each provably-redundant access zero times
-  instead of N times.
+  (``>= 1.15x``), because the shared same-epoch filter dispatches each
+  provably-redundant access zero times instead of N times, and the
+  batch kernels replay whole chunks for the tiers that have one.
 * **binary ingest**: raw streaming decode of the same 1M-event capture
   in the v1 text format vs the v2 binary format
   (:mod:`repro.trace.binfmt`) — varint decoding beats line
@@ -111,9 +110,9 @@ def test_streaming_single_pass_speedup(results_dir):
 
 
 def test_in_memory_single_pass_advantage(results_dir):
-    """With the trace materialized, the engine's cross-analysis sharing
-    (one HB bank for the WCP family, one same-epoch filter for all) must
-    beat sequential re-iteration outright."""
+    """With the trace materialized, the engine's one same-epoch filter
+    for all analyses (plus the batch kernels) must beat sequential
+    re-iteration outright."""
     trace, _ = _workload()
 
     def sequential():
@@ -333,7 +332,7 @@ def test_kernel_batch_speedup(results_dir):
 
 def test_single_pass_reports_match_sequential():
     """The speedup is not bought with wrong answers: identical reports —
-    including through the shared-HB bank and the same-epoch filter."""
+    including through the batch kernels and the same-epoch filter."""
     trace, path = _workload()
     streamed = run_stream(path, ANALYSES)
     assert streamed.ok

@@ -174,7 +174,7 @@ def detect_races_parallel(source, analyses=None, workers: int = 2,
     The sharded counterpart of :func:`detect_races_stream`: the trace is
     still parsed (and same-epoch-filtered) exactly once, in the parent,
     and decoded chunks are broadcast to ``workers`` worker processes,
-    each running a family-aware shard of ``analyses`` (default: the full
+    each running a shard of ``analyses`` (default: the full
     :data:`MAIN_MATRIX`) — see :class:`repro.core.parallel.ParallelRunner`.
     Reports are bit-identical to the in-process pass; an analysis of a
     worker that died carries an

@@ -7,10 +7,9 @@ changed (ROADMAP open item 5):
 
 * :mod:`repro.checkpoint.state` — serialize a live
   :class:`~repro.core.engine.EngineSession` (every analysis' clocks,
-  epochs, per-variable metadata and CS lists, the shared HB clock banks
-  with refcount-correct reconstruction, the same-epoch filter tokens)
-  and restore it in another process, positioned to replay the remaining
-  suffix with reports bit-identical to an uninterrupted pass;
+  epochs, per-variable metadata and CS lists, the same-epoch filter
+  tokens) and restore it in another process, positioned to replay the
+  remaining suffix with reports bit-identical to an uninterrupted pass;
 * :mod:`repro.checkpoint.cache` — an on-disk result cache keyed by
   (trace digest, analysis set, format/kernel version): a warm hit
   returns the byte-identical summary with zero events replayed, a stale

@@ -10,12 +10,6 @@ pickle of the session's object graph captures:
   serialization contract on :meth:`repro.core.base.Analysis.__getstate__`
   (which also demotes the ``trace`` back-reference to its dimensions and
   drops the unpicklable compiled dispatch table);
-* the shared HB clock banks *with their sharing intact*: because the
-  banks and their member analyses travel in the same pickle, every
-  member's ``hh``/``vol_w``/``vol_r``/``cls_clocks``/``lock_hb``
-  aliases reconstruct pointing at the same bank objects, and the saved
-  refcounts stay correct — no per-member deep copy, which is exactly
-  the cost the sharing exists to avoid (DESIGN.md §5.2);
 * the engine's cross-installment state: the event offset, per-entry
   peaks and failures, and the shared same-epoch filter's tokens
   (exported as plain dicts, so a checkpoint written under the
@@ -31,10 +25,6 @@ What is *not* serialized — and why that is correct:
   checkpoint written with numpy restores fine without it, and vice
   versa, because kernel and scalar replay are bit-identical by
   invariant (the differential fuzz sweep proves it);
-* **group topology decisions**: shared-HB groups are locked in when the
-  first session opens, so the restored runner marks grouping and kernel
-  attachment as already done; non-grouped entries may gain kernels, but
-  a pickled group never gains or loses members;
 * the progress callback (not picklable, presentation-only).
 
 File layout: a magic line, one JSON metadata line (version, event
@@ -66,7 +56,7 @@ MAGIC = b"# repro checkpoint v1\n"
 #: Version of the serialized state's shape; bump on any change to what
 #: the payload contains or how it is reconstructed.  Part of the result
 #: cache's key, so stale checkpoints are never restored.
-STATE_VERSION = 1
+STATE_VERSION = 2
 
 _PROTOCOL = 4
 
@@ -108,26 +98,21 @@ def save_session(session: EngineSession,
     for entry in entries:
         if entry.kernel is not None and entry.failure is None:
             entry.kernel.flush()
-    index = {id(entry): i for i, entry in enumerate(entries)}
     payload = {
         "version": STATE_VERSION,
         "events": session.events_processed,
         "analyses": [entry.analysis for entry in entries],
-        "groups": [(bank, [index[id(m)] for m in members])
-                   for bank, members in runner.hb_groups],
         "failures": [(i, entry.failure.name, entry.failure.event_index,
                       _portable_error(entry.failure.error))
                      for i, entry in enumerate(entries)
                      if entry.failure is not None],
         "peaks": [entry.peak for entry in entries],
         "filter": session._filter_state(),
-        # bounded-window bookkeeping (empty/None when windowing is off);
-        # restored with .get() so pre-window checkpoints still load
+        # bounded-window bookkeeping (empty/None when windowing is off)
         "window": (dict(session._var_last), session._next_evict),
         "config": {
             "sample_every": runner.sample_every,
             "chunk_events": runner.chunk_events,
-            "share_hb": runner._share_hb,
             "use_kernels": runner._use_kernels,
             "max_pending_races": runner.max_pending_races,
             "window_events": runner.window_events,
@@ -208,41 +193,23 @@ def restore_session(fp: Union[BinaryIO, str]) -> EngineSession:
         payload["analyses"],
         sample_every=config["sample_every"],
         chunk_events=config["chunk_events"],
-        share_hb=config["share_hb"],
         use_kernels=config["use_kernels"],
         max_pending_races=config["max_pending_races"],
-        window_events=config.get("window_events"),
+        window_events=config["window_events"],
     )
     entries = runner.entries
     for i, peak in enumerate(payload["peaks"]):
         entries[i].peak = peak
     for i, name, event_index, error in payload["failures"]:
         entries[i].failure = AnalysisFailure(name, event_index, error)
-    # the saved group topology is final: grouping decisions were locked
-    # in when the original first session opened
-    runner.hb_groups = [(bank, [entries[i] for i in idxs])
-                        for bank, idxs in payload["groups"]]
-    runner._groups_formed = True
-    runner._kernels_attached = True
-    # fresh kernels by the *restoring* environment's capability; grouped
-    # entries never get one (a kernel entry replays solo), and kernels
-    # attach mid-run exactly (StKernel seeds its repair log from the
-    # restored lock stacks)
-    grouped = {id(m) for _, members in runner.hb_groups for m in members}
-    if (config["use_kernels"] is not False and not config["sample_every"]
-            and config.get("window_events") is None):
-        from repro.core import kernels
-
-        if kernels.kernels_available():
-            for entry in entries:
-                if entry.failure is None and id(entry) not in grouped:
-                    entry.kernel = entry.analysis.make_kernel()
-    runner._kernels_on = any(e.kernel is not None for e in entries)
+    # the first session attaches fresh kernels to every live entry by
+    # the *restoring* environment's capability; kernels attach mid-run
+    # exactly (StKernel seeds its repair log from the restored lock
+    # stacks)
     session = runner.session()
     session._events_seen = payload["events"]
-    window = payload.get("window")
-    if window is not None and runner.window_events is not None:
-        var_last, next_evict = window
+    if runner.window_events is not None:
+        var_last, next_evict = payload["window"]
         session._var_last = dict(var_last)
         session._next_evict = next_evict
     toks, last_r, last_w = payload["filter"]

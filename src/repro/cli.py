@@ -449,8 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_workers(cmd, what):
         cmd.add_argument(
             "--workers", type=int, default=1, metavar="N",
-            help="shard the {} across N worker processes (family-aware "
-                 "analysis-parallel sharding; reports are identical to "
+            help="shard the {} across N worker processes "
+                 "(analysis-parallel sharding; reports are identical to "
                  "the in-process pass, a dead worker degrades to exit 2 "
                  "with a partial summary; default 1 = in-process)"
                  .format(what))

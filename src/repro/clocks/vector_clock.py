@@ -46,9 +46,8 @@ class VectorClock(list):
     def join(self, other: "VectorClock") -> None:
         """Pointwise join: ``self ← self ⊔ other`` (in place).
 
-        Joining a clock with itself (by reference) is the identity; the
-        shared-HB engine mode hands several analyses literally the same
-        clock objects, so equal-reference joins are worth a pointer check.
+        Joining a clock with itself (by reference) is the identity, so
+        an equal-reference join returns at once.
         """
         if other is self:
             return

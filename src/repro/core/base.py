@@ -243,7 +243,7 @@ class Analysis:
         columns, per-variable metadata, CS lists, rule-(b) queues — is
         ordinary picklable state whose *object identity sharing* (CS
         entries shared between a thread's stack and the per-variable
-        lists, shared HB bank clocks) pickle preserves within one dump.
+        lists) pickle preserves within one dump.
         Two members need explicit handling:
 
         * ``trace`` is demoted to its :class:`~repro.trace.trace.TraceInfo`
@@ -336,12 +336,6 @@ class Analysis:
         table externally via :class:`repro.core.engine.MultiRunner` and
         collect the report with :meth:`finish`.
         """
-        if not (getattr(self, "_hb_owner", True)
-                and getattr(self, "_cc_owner", True)):
-            raise RuntimeError(
-                "{} reads clock state from an engine-shared bank and "
-                "cannot be run solo; create a fresh instance".format(
-                    self.name))
         handlers = self.dispatch_table()
         events = self.trace.events
         peak = 0
@@ -442,11 +436,7 @@ class VectorClockAnalysis(Analysis):
 
     #: True for WCP analyses: maintain HB clocks alongside.
     TRACKS_HB = False
-    #: True for the pure-HB tier (Unopt-HB, FT2, FTO-HB): the relation
-    #: clock *is* an HB clock with FastTrack's release-only local-clock
-    #: discipline, identical across the tier — so the engine can hand
-    #: co-scheduled instances one shared clock bank (DESIGN.md §3.1).
-    HB_RELATION = False
+
     def __init__(self, trace: Trace, collect_cases: bool = False):
         super().__init__(trace, collect_cases=collect_cases)
         width = max(trace.num_threads, 1)
@@ -455,12 +445,6 @@ class VectorClockAnalysis(Analysis):
                 "trace declares {} threads; packed epochs support at most "
                 "{} (TID_BITS={})".format(width, MAX_TID + 1, TID_BITS))
         self.width = width
-        #: False when this instance reads HB state from a shared bank
-        #: (engine shared-HB mode) instead of maintaining it privately.
-        self._hb_owner = True
-        #: False when the *relation* clocks themselves are a shared bank
-        #: (engine shared-HB mode for the pure-HB tier).
-        self._cc_owner = True
         self.cc: List[VectorClock] = []
         for t in range(width):
             c = VectorClock.zeros(width)
@@ -497,11 +481,9 @@ class VectorClockAnalysis(Analysis):
         return self._time(t) << TID_BITS | t
 
     def _bump(self, t: int) -> None:
-        # shared-HB modes: the bank performs the single bump per event
         if self.hh is not None:
-            if self._hb_owner:
-                self.hh[t][t] += 1
-        elif self._cc_owner:
+            self.hh[t][t] += 1
+        else:
             self.cc[t][t] += 1
 
     def _event_clock(self, t: int) -> VectorClock:
@@ -536,96 +518,38 @@ class VectorClockAnalysis(Analysis):
             return self.hh[t].copy()
         return self.cc[t].copy()
 
-    # -- shared HB (engine mode; see repro.core.hb_shared) -----------------
-    def adopt_shared_cc(self, bank) -> None:
-        """Read the *relation* clocks from a shared bank (pure-HB tier).
-
-        The Unopt-HB/FT2/FTO-HB relation clock is plain HB with
-        FastTrack's release-only bump discipline, identical across the
-        tier, so co-scheduled fresh instances can share one bank
-        (``bump_at_acquire=False``).  Mirrors :meth:`adopt_shared_hb`:
-        all relation-clock mutations are disabled (``_cc_owner=False``)
-        and the engine's fused group replay applies each event's
-        transition once via the bank.
-        """
-        if not self.HB_RELATION or self.hh is not None:
-            raise TypeError(
-                "{}'s relation clock is not plain HB; cannot share".format(
-                    self.name))
-        if bank.width != self.width:
-            raise ValueError("shared clock bank width {} != analysis "
-                             "width {}".format(bank.width, self.width))
-        self.cc = bank.hh
-        self._vol_w = bank.vol_w
-        self._vol_r = bank.vol_r
-        self._cls = bank.cls_clocks
-        self._cc_owner = False
-
-    def adopt_shared_hb(self, bank) -> None:
-        """Read HB state from a shared bank instead of maintaining it.
-
-        Only meaningful for ``TRACKS_HB`` analyses and only on a *fresh*
-        instance (no events processed).  All private HB structures are
-        replaced by references into the bank, so every HB read
-        (``_time``/``_event_clock``/``_publish_clock`` and the footprint
-        accounting) observes the shared state; every HB *mutation* in this
-        instance's handlers is disabled (``_hb_owner = False``) — the bank
-        applies the per-event HB transition exactly once, after the member
-        handlers ran (see :class:`repro.core.engine.MultiRunner`).
-        """
-        if not self.TRACKS_HB or self.hh is None:
-            raise TypeError(
-                "{} does not track HB clocks; nothing to share".format(
-                    self.name))
-        if bank.width != self.width:
-            raise ValueError("shared HB bank width {} != analysis width {}"
-                             .format(bank.width, self.width))
-        self.hh = bank.hh
-        self._hvol_w = bank.vol_w
-        self._hvol_r = bank.vol_r
-        self._hcls = bank.cls_clocks
-        self._hb_owner = False
-
     # -- hard edges (§5.1) -------------------------------------------------
-    # All relation-clock (cc/_vol/_cls) mutations are gated on
-    # ``_cc_owner`` and all HB-clock mutations on ``_hb_owner``: in the
-    # engine's shared-HB modes the bank applies each event's transition
-    # exactly once, after the member handlers ran.
     def fork(self, t: int, u: int, i: int, site: int) -> None:
-        if self._cc_owner:
-            self.cc[u].join(self._event_clock(t))
-        if self.hh is not None and self._hb_owner:
+        self.cc[u].join(self._event_clock(t))
+        if self.hh is not None:
             self.hh[u].join(self.hh[t])
         self._bump(t)
 
     def join(self, t: int, u: int, i: int, site: int) -> None:
-        if self._cc_owner:
-            self.cc[t].join(self._event_clock(u))
-        if self.hh is not None and self._hb_owner:
+        self.cc[t].join(self._event_clock(u))
+        if self.hh is not None:
             self.hh[t].join(self.hh[u])
 
     def volatile_write(self, t: int, v: int, i: int, site: int) -> None:
-        if self._cc_owner:
-            w = self._vol_w.get(v)
-            if w is not None:
-                self.cc[t].join(w)
-            r = self._vol_r.get(v)
-            if r is not None:
-                self.cc[t].join(r)
-        if self.hh is not None and self._hb_owner:
+        w = self._vol_w.get(v)
+        if w is not None:
+            self.cc[t].join(w)
+        r = self._vol_r.get(v)
+        if r is not None:
+            self.cc[t].join(r)
+        if self.hh is not None:
             hw = self._hvol_w.get(v)
             if hw is not None:
                 self.hh[t].join(hw)
             hr = self._hvol_r.get(v)
             if hr is not None:
                 self.hh[t].join(hr)
-        if self._cc_owner:
-            ec = self._event_clock(t)
-            if w is None:
-                self._vol_w[v] = ec
-            else:
-                w.join(ec)
-        if self.hh is not None and self._hb_owner:
+        ec = self._event_clock(t)
+        if w is None:
+            self._vol_w[v] = ec
+        else:
+            w.join(ec)
+        if self.hh is not None:
             if v not in self._hvol_w:
                 self._hvol_w[v] = self.hh[t].copy()
             else:
@@ -633,22 +557,20 @@ class VectorClockAnalysis(Analysis):
         self._bump(t)
 
     def volatile_read(self, t: int, v: int, i: int, site: int) -> None:
-        if self._cc_owner:
-            w = self._vol_w.get(v)
-            if w is not None:
-                self.cc[t].join(w)
-        if self.hh is not None and self._hb_owner:
+        w = self._vol_w.get(v)
+        if w is not None:
+            self.cc[t].join(w)
+        if self.hh is not None:
             hw = self._hvol_w.get(v)
             if hw is not None:
                 self.hh[t].join(hw)
-        if self._cc_owner:
-            ec = self._event_clock(t)
-            r = self._vol_r.get(v)
-            if r is None:
-                self._vol_r[v] = ec
-            else:
-                r.join(ec)
-        if self.hh is not None and self._hb_owner:
+        ec = self._event_clock(t)
+        r = self._vol_r.get(v)
+        if r is None:
+            self._vol_r[v] = ec
+        else:
+            r.join(ec)
+        if self.hh is not None:
             if v not in self._hvol_r:
                 self._hvol_r[v] = self.hh[t].copy()
             else:
@@ -658,13 +580,12 @@ class VectorClockAnalysis(Analysis):
         self._bump(t)
 
     def static_init(self, t: int, c: int, i: int, site: int) -> None:
-        if self._cc_owner:
-            ec = self._event_clock(t)
-            if c not in self._cls:
-                self._cls[c] = ec
-            else:
-                self._cls[c].join(ec)
-        if self.hh is not None and self._hb_owner:
+        ec = self._event_clock(t)
+        if c not in self._cls:
+            self._cls[c] = ec
+        else:
+            self._cls[c].join(ec)
+        if self.hh is not None:
             if c not in self._hcls:
                 self._hcls[c] = self.hh[t].copy()
             else:
@@ -672,11 +593,10 @@ class VectorClockAnalysis(Analysis):
         self._bump(t)
 
     def static_access(self, t: int, c: int, i: int, site: int) -> None:
-        if self._cc_owner:
-            k = self._cls.get(c)
-            if k is not None:
-                self.cc[t].join(k)
-        if self.hh is not None and self._hb_owner:
+        k = self._cls.get(c)
+        if k is not None:
+            self.cc[t].join(k)
+        if self.hh is not None:
             hk = self._hcls.get(c)
             if hk is not None:
                 self.hh[t].join(hk)

@@ -12,28 +12,16 @@ feeds every registered analysis from it:
   :class:`~repro.trace.format.TraceStream` parsing a multi-gigabyte
   capture lazily) and the engine runs in memory bounded by analysis
   metadata, not trace length;
-* **fused replay over flat chunks** — each analysis exposes a
+* **chunked replay over flat arrays** — each analysis exposes a
   per-event-kind table of bound handlers
   (:meth:`repro.core.base.Analysis.dispatch_table`); the engine decodes
   each event once into four flat, *preallocated* int arrays (kind, tid,
   target, site — no per-event record object, so chunk assembly allocates
   nothing and the cyclic GC stays quiet) and replays the chunk through
   each analysis with the dispatch table and array slots bound to locals;
-* **shared HB clocks** — co-scheduled analyses with an HB clock bank
-  that evolves independently of race metadata share one
-  reference-counted :class:`~repro.core.hb_shared.SharedHBClocks`
-  instance per family: the WCP family's HB substrate (``TRACKS_HB``)
-  and the pure-HB tier's relation clocks (``HB_RELATION``:
-  Unopt-HB/FT2/FTO-HB).  A group replays access runs chunked (data
-  accesses never change bank state) and synchronization events fused —
-  member handlers read the pre-event bank state, then the bank applies
-  the event's transition exactly once — so HB joins are paid once per
-  event instead of once per analysis, and reports stay bit-identical
-  to solo runs (the differential fuzz sweep asserts this);
 * **error isolation** — an analysis whose handler raises is detached and
-  recorded as a :class:`AnalysisFailure`; the remaining analyses
-  (including the surviving members of a shared-HB group) are unaffected
-  and still produce reports;
+  recorded as a :class:`AnalysisFailure`; the remaining analyses are
+  unaffected and still produce reports;
 * **shared sampling** — footprint peaks and progress callbacks are
   sampled once per cadence for all analyses, at the same event indices
   :meth:`Analysis.run` would use, so peaks are comparable across paths;
@@ -46,15 +34,14 @@ feeds every registered analysis from it:
   :meth:`~EngineSession.finish` seals the pass.  The one-shot
   :meth:`MultiRunner.run` is a thin feed-everything-then-finish wrapper,
   so offline and online paths share every optimization (flat chunks,
-  shared HB banks, the same-epoch filter) and produce identical reports
+  batch kernels, the same-epoch filter) and produce identical reports
   (the differential fuzz sweep replays every fuzzed trace through a live
   socket session and asserts this).
 
 Analyses are ordinary instances; two instances of the *same* analysis can
 run side by side (each owns all of its mutable state — the dispatch-table
-contract in :mod:`repro.core.base`).  Solo :meth:`Analysis.run` never
-shares anything, so a single analysis behaves identically inside and
-outside the engine.
+contract in :mod:`repro.core.base`), so a single analysis behaves
+identically inside and outside the engine.
 """
 
 from __future__ import annotations
@@ -74,7 +61,6 @@ from typing import (
 
 from repro.clocks.epoch import TID_BITS
 from repro.core.base import Analysis, HANDLER_NAMES, RaceReport
-from repro.core.hb_shared import SharedHBClocks
 from repro.core.registry import create
 from repro.trace.event import Event
 from repro.trace.trace import Trace, TraceInfo
@@ -181,15 +167,12 @@ class MultiResult:
 class SessionSnapshot:
     """A cheap, read-only progress view of a live :class:`EngineSession`.
 
-    Snapshots are O(races) counter reads: they do **not** fork the shared
-    HB clock banks or any analysis metadata (the banks keep evolving as
-    events arrive; forking them into a resumable checkpoint would deep-copy
-    every member's clock references, which is exactly the cost the sharing
-    avoids — see DESIGN.md §5.2).  Use :meth:`EngineSession.finish` to seal
-    the pass and obtain real :class:`~repro.core.base.RaceReport` objects,
-    or :meth:`EngineSession.save_checkpoint` (:mod:`repro.checkpoint`)
-    when the full resumable state — clocks, metadata, banks and all — is
-    what you need.
+    Snapshots are O(races) counter reads: they copy no clocks or other
+    analysis metadata.  Use :meth:`EngineSession.finish` to seal the pass
+    and obtain real :class:`~repro.core.base.RaceReport` objects, or
+    :meth:`EngineSession.save_checkpoint` (:mod:`repro.checkpoint`) when
+    the full resumable state — clocks, metadata and all — is what you
+    need.
 
     ``dynamic_counts``/``static_counts`` are keyed by analysis name (first
     instance wins when the same analysis is registered twice, mirroring
@@ -244,16 +227,9 @@ class EngineSession:
     def __init__(self, runner: "MultiRunner"):
         self._runner = runner
         self.entries = runner.entries
-        grouped = set()
-        for _, members in runner.hb_groups:
-            grouped.update(members)
         # entries that failed in a previous session stay detached: their
-        # analyses are in an undefined mid-failure state, and a group
-        # member must not drop the bank refcount twice
-        self._live = [e for e in self.entries
-                      if e not in grouped and e.failure is None]
-        self._groups = [(bank, [m for m in members if m.failure is None])
-                        for bank, members in runner.hb_groups]
+        # analyses are in an undefined mid-failure state
+        self._live = [e for e in self.entries if e.failure is None]
         # The shared same-epoch filter drops accesses that are provably
         # no-ops in *every* analysis — a repeat of the same (thread,
         # kind, variable) access with no intervening epoch-ending event
@@ -371,7 +347,6 @@ class EngineSession:
             source = islice(source, max_events)
         runner = self._runner
         live = self._live
-        groups = self._groups
         progress = runner.progress
         chunk_size = runner.chunk_events
         vec_filter = self._vec_filter
@@ -508,11 +483,6 @@ class EngineSession:
                                     entry.name, runner._failure_index(exc),
                                     exc)
                                 live.remove(entry)
-                        for bank, members in groups:
-                            if members:
-                                runner._replay_group(bank, members, indices,
-                                                     kinds, tids, targets,
-                                                     sites, m)
                     if progress is not None:
                         progress(i + 1)
                         self._reported = i + 1
@@ -585,10 +555,6 @@ class EngineSession:
                         entry.failure = AnalysisFailure(
                             entry.name, runner._failure_index(exc), exc)
                         live.remove(entry)
-                for bank, members in self._groups:
-                    if members:
-                        runner._replay_group(bank, members, indices, kinds,
-                                             tids, targets, sites, n)
         finally:
             self._events_seen = events_seen
             if gc_was_enabled:
@@ -622,14 +588,6 @@ class EngineSession:
             except Exception as exc:  # detach this analysis
                 entry.failure = AnalysisFailure(entry.name, -1, exc)
                 live.remove(entry)
-        for bank, members in self._groups:
-            for entry in list(members):
-                try:
-                    entry.analysis.evict_window(cutoff, stale_set)
-                except Exception as exc:  # detach this member
-                    entry.failure = AnalysisFailure(entry.name, -1, exc)
-                    members.remove(entry)
-                    bank.drop()
 
     def _deliver(self) -> List[tuple]:
         """Hand out the pending races, then enforce the bounded-state
@@ -741,9 +699,8 @@ class EngineSession:
 
     def save_checkpoint(self, fp) -> None:
         """Serialize the session's full resumable state to the binary
-        file object ``fp`` — every analysis' clocks/metadata, the shared
-        HB banks (refcount-correct), the same-epoch filter tokens and
-        the event offset — so :meth:`MultiRunner.restore_checkpoint` in
+        file object ``fp`` — every analysis' clocks/metadata, the
+        same-epoch filter tokens and the event offset — so :meth:`MultiRunner.restore_checkpoint` in
         another process can replay the remaining suffix and produce
         reports bit-identical to one uninterrupted pass.  Thin wrapper
         over :func:`repro.checkpoint.save_session`."""
@@ -820,17 +777,9 @@ class MultiRunner:
     once and never rewound, so memory stays bounded by the chunk size
     plus analysis metadata.
 
-    Analyses with a shareable HB clock bank — the WCP family's HB
-    substrate (``TRACKS_HB``) and the pure-HB tier's relation clocks
-    (``HB_RELATION``) — are grouped per family and clock width at the
-    start of :meth:`run` and, when a group has two or more *fresh*
-    members, adopted into one shared
-    :class:`~repro.core.hb_shared.SharedHBClocks` bank.  A group
-    replays access runs chunked and synchronization events fused:
-    member handlers first (each reading the common pre-event bank
-    state), then the bank's single transition.  See
-    :mod:`repro.core.hb_shared` for why the reports are identical to
-    solo runs.
+    Every analysis owns its clocks, and each replays a chunk through one
+    of two paths: its batch kernel (:meth:`Analysis.make_kernel`) or
+    the per-event dispatch table (:meth:`_replay`).
 
     Parameters
     ----------
@@ -849,8 +798,8 @@ class MultiRunner:
         Batch size; the engine's extra memory is four int slots per
         chunk position.
     share_hb:
-        Set False to disable shared-HB grouping (every analysis keeps
-        its private clocks, as in solo runs).
+        Accepted for compatibility and ignored: analyses no longer
+        share clocks, so ``True`` and ``False`` give the same pass.
     use_kernels:
         None (the default) auto-selects the columnar batch kernels
         (:mod:`repro.core.kernels`) for every capable analysis when
@@ -904,13 +853,6 @@ class MultiRunner:
         self.window_events = window_events
         self.max_pending_races = (None if max_pending_races is None
                                   else max(max_pending_races, 0))
-        #: shared-HB groups: list of (bank, [entries]) — usually 0 or 1.
-        #: Populated at the start of :meth:`run` (adoption permanently
-        #: rebinds an analysis' HB state, so it must not happen for a
-        #: runner that is constructed but never run).
-        self.hb_groups: List[tuple] = []
-        self._share_hb = share_hb
-        self._groups_formed = False
         self._session_open = False
         self._use_kernels = use_kernels
         self._kernels_attached = False
@@ -918,10 +860,9 @@ class MultiRunner:
 
     # -- batch kernel attachment -------------------------------------------
     def _attach_kernels(self) -> None:
-        """Hand each capable analysis its batch kernel (once, before the
-        first session — like shared-HB grouping, a kernel permanently
-        claims its entry: a kernel entry replays solo so its fast paths
-        may bypass the per-event handlers).
+        """Hand each capable live analysis its batch kernel (once, before
+        the first session: a kernel permanently claims its entry, whose
+        fast paths then bypass the per-event handlers).
 
         Sampling passes keep the scalar path: a kernel skips handler
         work per event, so per-event footprint peaks would be wrong.
@@ -939,87 +880,14 @@ class MultiRunner:
         if not kernels.kernels_available():
             return
         for entry in self.entries:
-            entry.kernel = entry.analysis.make_kernel()
+            if entry.failure is None:
+                entry.kernel = entry.analysis.make_kernel()
         self._kernels_on = any(e.kernel is not None for e in self.entries)
-
-    # -- shared-HB group formation ----------------------------------------
-    def _form_hb_groups(self) -> None:
-        """Group fresh shareable analyses by clock width and hand each
-        group of >= 2 one shared, reference-counted clock bank.
-
-        Two families share (separately): the WCP tier's HB *substrate*
-        (``TRACKS_HB``; adopted via ``adopt_shared_hb``) and the pure-HB
-        tier's *relation* clocks (``HB_RELATION``; adopted via
-        ``adopt_shared_cc``, release-only bump discipline).
-        """
-        hh_groups: Dict[int, List[EngineEntry]] = {}
-        cc_groups: Dict[int, List[EngineEntry]] = {}
-        for entry in self.entries:
-            if entry.kernel is not None:
-                # kernel entries replay solo: their vector fast paths
-                # bypass the handlers a fused group replay relies on
-                continue
-            a = entry.analysis
-            if (getattr(a, "TRACKS_HB", False)
-                    and getattr(a, "hh", None) is not None
-                    and getattr(a, "_hb_owner", False)
-                    and self._hb_is_fresh(a)):
-                hh_groups.setdefault(a.width, []).append(entry)
-            elif (getattr(a, "HB_RELATION", False)
-                    and getattr(a, "hh", 0) is None
-                    and getattr(a, "_cc_owner", False)
-                    and self._cc_is_fresh(a)):
-                cc_groups.setdefault(a.width, []).append(entry)
-        for width, members in hh_groups.items():
-            if len(members) < 2:
-                continue
-            bank = SharedHBClocks(width)
-            for entry in members:
-                entry.analysis.adopt_shared_hb(bank)
-                bank.retain()
-            self.hb_groups.append((bank, members))
-        for width, members in cc_groups.items():
-            if len(members) < 2:
-                continue
-            bank = SharedHBClocks(width, bump_at_acquire=False)
-            for entry in members:
-                entry.analysis.adopt_shared_cc(bank)
-                bank.retain()
-            self.hb_groups.append((bank, members))
-
-    @staticmethod
-    def _clocks_initial(clocks) -> bool:
-        for t, h in enumerate(clocks):
-            for u, v in enumerate(h):
-                if v != (1 if u == t else 0):
-                    return False
-        return True
-
-    @classmethod
-    def _hb_is_fresh(cls, analysis: Analysis) -> bool:
-        """True while the analysis' private HB state is still initial
-        (sharing would corrupt a mid-run instance's view otherwise)."""
-        if not cls._clocks_initial(analysis.hh):
-            return False
-        for attr in ("_hvol_w", "_hvol_r", "_hcls", "_lock_hb"):
-            if getattr(analysis, attr, None):
-                return False
-        return True
-
-    @classmethod
-    def _cc_is_fresh(cls, analysis: Analysis) -> bool:
-        """Same freshness check for a pure-HB tier's relation clocks."""
-        if not cls._clocks_initial(analysis.cc):
-            return False
-        for attr in ("_vol_w", "_vol_r", "_cls", "_lock_clock"):
-            if getattr(analysis, attr, None):
-                return False
-        return True
 
     # -- chunked per-analysis replay ---------------------------------------
     def _replay(self, entry: EngineEntry, indices, kinds, tids, targets,
                 sites, n: int) -> None:
-        """Replay one decoded chunk through one (non-grouped) analysis.
+        """Replay one decoded chunk through one analysis' dispatch table.
 
         ``indices`` holds each record's global event index (records are
         not contiguous when the shared same-epoch filter dropped events);
@@ -1042,102 +910,6 @@ class MultiRunner:
         else:
             for j, k, t, x, s in zip(bounded, kinds, tids, targets, sites):
                 table[k](t, x, j, s)
-
-    # -- fused shared-HB group replay --------------------------------------
-    def _replay_group(self, bank: SharedHBClocks, members: List[EngineEntry],
-                      indices, kinds, tids, targets, sites, n: int) -> None:
-        """Replay one decoded chunk through a shared-clock group.
-
-        Data accesses (kinds 0/1) never change the shared bank, so
-        maximal *access runs* replay through each member in turn with a
-        tight per-member loop (chunked-replay speed).  Synchronization
-        records are fused per event: every member's handler first (each
-        reading the pre-event bank state), then the bank's single
-        transition.  Failures are handled inline: a member whose handler
-        (or footprint sampler) raises is detached on the spot and the
-        survivors plus the bank continue; if the bank's own transition
-        raises, the shared state is unusable and the whole group fails.
-        """
-        sample_every = self.sample_every
-        bank_table = bank.dispatch_table()
-        tables = [e.analysis.dispatch_table() for e in members]
-        off = 0
-        while off < n and members:
-            k = kinds[off]
-            if k <= 1:
-                run_end = off + 1
-                while run_end < n and kinds[run_end] <= 1:
-                    run_end += 1
-                mi = 0
-                while mi < len(tables):
-                    tbl = tables[mi]
-                    try:
-                        if sample_every:
-                            entry = members[mi]
-                            analysis = entry.analysis
-                            for o in range(off, run_end):
-                                j = indices[o]
-                                tbl[kinds[o]](tids[o], targets[o], j,
-                                              sites[o])
-                                if j % sample_every == 0:
-                                    fp = analysis.footprint_bytes()
-                                    if fp > entry.peak:
-                                        entry.peak = fp
-                        else:
-                            for o in range(off, run_end):
-                                tbl[kinds[o]](tids[o], targets[o],
-                                              indices[o], sites[o])
-                    except Exception as exc:  # detach this member
-                        self._detach(bank, members, tables, mi,
-                                     indices[o], exc)
-                        continue
-                    mi += 1
-                off = run_end
-            else:
-                j = indices[off]
-                t = tids[off]
-                x = targets[off]
-                s = sites[off]
-                mi = 0
-                while mi < len(tables):
-                    try:
-                        tables[mi][k](t, x, j, s)
-                    except Exception as exc:  # detach this member
-                        self._detach(bank, members, tables, mi, j, exc)
-                        continue
-                    mi += 1
-                if members:
-                    try:
-                        bank_table[k](t, x, j, s)
-                    except Exception as exc:
-                        # the shared transition failed: no member's view
-                        # can be trusted any more — the group fails
-                        while members:
-                            self._detach(bank, members, tables, 0, j, exc)
-                        return
-                if sample_every and j % sample_every == 0:
-                    mi = 0
-                    while mi < len(tables):
-                        entry = members[mi]
-                        try:
-                            fp = entry.analysis.footprint_bytes()
-                        except Exception as exc:  # detach this member
-                            self._detach(bank, members, tables, mi, j, exc)
-                            continue
-                        if fp > entry.peak:
-                            entry.peak = fp
-                        mi += 1
-                off += 1
-
-    @staticmethod
-    def _detach(bank: SharedHBClocks, members: List[EngineEntry], tables,
-                mi: int, event_index: int, exc: BaseException) -> None:
-        """Record a group member's failure and drop it from the pass."""
-        entry = members[mi]
-        entry.failure = AnalysisFailure(entry.name, event_index, exc)
-        del members[mi]
-        del tables[mi]
-        bank.drop()
 
     # -- failure localization ----------------------------------------------
     @staticmethod
@@ -1171,8 +943,7 @@ class MultiRunner:
         :class:`EngineSession`.  Only one session may be open at a time
         (the analyses' mutable state is shared); :meth:`finish` (or
         :meth:`EngineSession.close`) releases the runner for the next
-        one.  Shared-HB groups are formed on the first session, exactly
-        as the one-shot :meth:`run` forms them.
+        one.  Batch kernels attach when the first session opens.
 
         Example (drain a live source in bounded windows)::
 
@@ -1186,11 +957,7 @@ class MultiRunner:
             raise RuntimeError(
                 "another engine session over these analyses is still "
                 "open; finish() or close() it first")
-        if not self._groups_formed:
-            self._attach_kernels()
-            if self._share_hb:
-                self._form_hb_groups()
-        self._groups_formed = True
+        self._attach_kernels()
         self._session_open = True
         return EngineSession(self)
 

@@ -49,7 +49,6 @@ _BOTTOM_WORD = b"\xff" * 8  # int64 -1 == PACKED_BOTTOM, little/big agnostic
 class _EpochHbBase(VectorClockAnalysis):
     """Shared lock handling and metadata for FT2/FTO-HB."""
 
-    HB_RELATION = True
     #: implements the [Read/Write Same Epoch] fast paths
     SAME_EPOCH_SKIP = True
     #: event kinds at which this tier bumps the local clock (release,
@@ -85,22 +84,14 @@ class _EpochHbBase(VectorClockAnalysis):
 
         return kernels.make_kernel(self)
 
-    def adopt_shared_cc(self, bank) -> None:
-        """See :meth:`VectorClockAnalysis.adopt_shared_cc`; also rebinds
-        the per-lock release clocks to the bank's."""
-        super().adopt_shared_cc(bank)
-        self._lock_clock = bank.lock_hb
-
     def acquire(self, t: int, m: int, i: int, site: int) -> None:
-        if self._cc_owner:
-            clock = self._lock_clock.get(m)
-            if clock is not None:
-                self.cc[t].join(clock)
+        clock = self._lock_clock.get(m)
+        if clock is not None:
+            self.cc[t].join(clock)
         self.held[t].append(m)
 
     def release(self, t: int, m: int, i: int, site: int) -> None:
-        if self._cc_owner:
-            self._lock_clock[m] = self.cc[t].copy()
+        self._lock_clock[m] = self.cc[t].copy()
         stack = self.held[t]
         if stack and stack[-1] == m:
             stack.pop()

@@ -24,7 +24,6 @@ class UnoptHB(VectorClockAnalysis):
     name = "unopt-hb"
     relation = "hb"
     tier = "unopt"
-    HB_RELATION = True
     #: implements the §5.1-style ``r[t] == time`` same-epoch skip
     SAME_EPOCH_SKIP = True
 
@@ -34,22 +33,14 @@ class UnoptHB(VectorClockAnalysis):
         self._read: Dict[int, VectorClock] = {}
         self._write: Dict[int, VectorClock] = {}
 
-    def adopt_shared_cc(self, bank) -> None:
-        """See :meth:`VectorClockAnalysis.adopt_shared_cc`; also rebinds
-        the per-lock release clocks to the bank's."""
-        super().adopt_shared_cc(bank)
-        self._lock_clock = bank.lock_hb
-
     def acquire(self, t: int, m: int, i: int, site: int) -> None:
-        if self._cc_owner:
-            clock = self._lock_clock.get(m)
-            if clock is not None:
-                self.cc[t].join(clock)
+        clock = self._lock_clock.get(m)
+        if clock is not None:
+            self.cc[t].join(clock)
         self.held[t].append(m)
 
     def release(self, t: int, m: int, i: int, site: int) -> None:
-        if self._cc_owner:
-            self._lock_clock[m] = self.cc[t].copy()
+        self._lock_clock[m] = self.cc[t].copy()
         stack = self.held[t]
         if stack and stack[-1] == m:
             stack.pop()

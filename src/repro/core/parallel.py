@@ -18,13 +18,9 @@ see DESIGN.md §6.1):
 * **shared-memory broadcast** — each decoded chunk is copied into a
   per-worker single-producer/single-consumer ring buffer in
   :mod:`multiprocessing.shared_memory` (semaphore flow control, no
-  pickling on the hot path); platforms without POSIX shared memory fall
-  back to a pickled-queue transport (``REPRO_PARALLEL_TRANSPORT``
-  forces either for testing);
-* **family-aware shards** — the pure-HB tier stays together and the
-  WCP family stays together, so the engine's shared-HB-bank fusion
-  (DESIGN.md §3) keeps working *within* a shard; the independent
-  DC/WDC analyses are spread to balance load (:func:`plan_shards`);
+  pickling on the hot path);
+* **least-loaded shards** — analyses share no state, so each is placed
+  on the shard holding the fewest so far (:func:`plan_shards`);
 * **private engine per worker** — each worker runs an ordinary
   :class:`~repro.core.engine.MultiRunner` session over its shard
   (entering via :meth:`~repro.core.engine.EngineSession.feed_decoded`)
@@ -63,7 +59,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
 from repro.clocks.epoch import MAX_TID, TID_BITS
 from repro.core.engine import _EPOCH_ENDERS, AnalysisFailure, MultiResult
-from repro.core.registry import ANALYSIS_NAMES, create, relation_of
+from repro.core.registry import ANALYSIS_NAMES, create
 from repro.trace.event import Event
 from repro.trace.trace import Trace, TraceInfo
 
@@ -124,53 +120,20 @@ class ShardEntry:
 
 
 def plan_shards(names: Sequence[str], workers: int) -> List[List[int]]:
-    """Family-aware shard assignment: positions of ``names`` per worker.
+    """Shard assignment: positions of ``names`` per worker.
 
-    Policy (DESIGN.md §6.2): the pure-HB tier (relation ``hb``) is
-    placed as one atomic group, the WCP family (relation ``wcp``) as
-    another — so the engine's shared-clock-bank fusion keeps paying
-    off inside a shard — and the sync-preserving family (relation
-    ``sp``) as a third, keeping its reference/optimized pair
-    co-scheduled; the remaining analyses (DC/WDC tiers, which share
-    nothing) are spread one by one onto the least-loaded shard.
-    ``workers`` is clamped to ``len(names)``; shards left empty by
-    atomic-group placement are dropped, so every returned shard is
-    non-empty.
+    Policy (DESIGN.md §6.2): every analysis owns its state, so analyses
+    are placed one by one onto the least-loaded shard.  ``workers`` is
+    clamped to ``len(names)``, so every returned shard is non-empty.
 
-    >>> plan_shards(["unopt-hb", "fto-hb", "st-wcp", "st-dc"], 8)
-    [[0, 1], [2], [3]]
+    >>> plan_shards(["unopt-hb", "fto-hb", "st-wcp", "st-dc", "st-wdc"], 2)
+    [[0, 2, 4], [1, 3]]
     """
     workers = max(1, min(workers, len(names)))
-    hb: List[int] = []
-    wcp: List[int] = []
-    sp: List[int] = []
-    rest: List[int] = []
-    for pos, name in enumerate(names):
-        rel = relation_of(name)
-        (hb if rel == "hb" else wcp if rel == "wcp"
-         else sp if rel == "sp" else rest).append(pos)
     shards: List[List[int]] = [[] for _ in range(workers)]
-
-    def lightest() -> List[int]:
-        return min(shards, key=len)
-
-    for group in sorted((hb, wcp, sp), key=len, reverse=True):
-        if group:
-            lightest().extend(group)
-    for pos in rest:
-        lightest().append(pos)
-    return [shard for shard in shards if shard]
-
-
-def _transport_kind() -> str:
-    forced = os.environ.get("REPRO_PARALLEL_TRANSPORT", "")
-    if forced in ("shm", "pickle"):
-        return forced
-    try:
-        from multiprocessing import shared_memory  # noqa: F401
-    except ImportError:  # pragma: no cover - exotic platforms
-        return "pickle"
-    return "shm"
+    for pos in range(len(names)):
+        min(shards, key=len).append(pos)
+    return shards
 
 
 def _mp_context():
@@ -190,7 +153,7 @@ def _mp_context():
 
 
 # ---------------------------------------------------------------------------
-# chunk transports (parent -> worker)
+# shared-memory chunk ring (parent -> worker)
 # ---------------------------------------------------------------------------
 
 class _ShmRing:
@@ -225,7 +188,7 @@ class _ShmRing:
         # have been captured in a locked state by the fork — see
         # _FORK_LOCK and _ShmRingReader.  Spawned workers get the name;
         # a fresh process attaches safely.
-        return ("shm", self.shm if self._fork else self.shm.name,
+        return (self.shm if self._fork else self.shm.name,
                 self.chunk_events, self.free, self.filled)
 
     def put(self, bufs, n: int, events_seen: int, alive) -> None:
@@ -315,51 +278,6 @@ class _ShmRingReader:
             self.shm.close()
 
 
-class _PickleChannel:
-    """Fallback transport: a bounded queue of pickled chunk columns."""
-
-    def __init__(self, ctx, chunk_events: int):
-        self.chunk_events = chunk_events
-        self.q = ctx.Queue(maxsize=RING_SLOTS)
-
-    def worker_args(self) -> tuple:
-        return ("pickle", self.q)
-
-    def put(self, bufs, n: int, events_seen: int, alive) -> None:
-        payload = (n, events_seen,
-                   [memoryview(buf)[:n].tolist() if n > 0 else []
-                    for buf in bufs])
-        while True:
-            try:
-                self.q.put(payload, timeout=0.2)
-                return
-            except queue_module.Full:
-                if not alive():
-                    raise WorkerDied(
-                        "worker stopped draining its chunk queue")
-
-    def close(self) -> None:
-        self.q.close()
-        self.q.cancel_join_thread()
-
-
-class _PickleChannelReader:
-    def __init__(self, q):
-        self.q = q
-
-    def get(self) -> tuple:
-        return self.q.get()
-
-    def close(self) -> None:
-        pass
-
-
-def _attach_transport(args):
-    if args[0] == "shm":
-        return _ShmRingReader(*args[1:])
-    return _PickleChannelReader(args[1])
-
-
 # ---------------------------------------------------------------------------
 # worker process
 # ---------------------------------------------------------------------------
@@ -431,7 +349,7 @@ def _worker_main(shard_id: int, names: Sequence[str], info_dims: tuple,
                              chunk_events=chunk_events,
                              window_events=window_events)
         session = runner.session()
-        rx = _attach_transport(transport_args)
+        rx = _ShmRingReader(*transport_args)
         chunks = 0
         while True:
             n, events_seen, cols = rx.get()
@@ -524,7 +442,6 @@ class ParallelSession:
         self.entries = [ShardEntry(name, -1) for name in runner.names]
         ctx = _mp_context()
         self._shards: List[_Shard] = []
-        kind = _transport_kind()
         info = runner.info
         info_dims = (info.num_threads, info.num_locks, info.num_vars,
                      info.num_volatiles, info.num_classes, info.num_events)
@@ -532,8 +449,7 @@ class ParallelSession:
             self._results = ctx.Queue()
             try:
                 for shard_id, positions in enumerate(runner.shards):
-                    tx = (_ShmRing(ctx, chunk) if kind == "shm"
-                          else _PickleChannel(ctx, chunk))
+                    tx = _ShmRing(ctx, chunk)
                     proc = ctx.Process(
                         target=_worker_main,
                         args=(shard_id,
@@ -882,9 +798,8 @@ class ParallelRunner:
         A :class:`~repro.trace.trace.Trace` or
         :class:`~repro.trace.trace.TraceInfo` carrying the dimensions.
     workers:
-        Worker process count; clamped to ``len(names)``, and the
-        family-aware shard plan (:func:`plan_shards`) may use fewer when
-        atomic family groups leave shards empty.
+        Worker process count; clamped to ``len(names)`` (see
+        :func:`plan_shards`).
     sample_every:
         Per-analysis footprint sampling cadence, as in
         :class:`~repro.core.engine.MultiRunner` (sampling runs inside

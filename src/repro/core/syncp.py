@@ -33,10 +33,9 @@ component ``>= thr`` holds iff the acquire is in the observer's SP past.
 
 Access checks keep full last-read/last-write vector clocks per variable
 (the Unopt-HB shape); SP contains program order, so per-thread last
-accesses are a complete summary.  There is no shared-HB bank tie-in: the
-SP clocks are weaker than HB clocks and the relation needs no HB
-composition (unlike WCP), so ``TRACKS_HB``/``HB_RELATION`` stay False
-and the engine schedules ``sp`` standalone (DESIGN.md §11).
+accesses are a complete summary.  The SP clocks are weaker than HB
+clocks and the relation needs no HB composition (unlike WCP), so
+``TRACKS_HB`` stays False and no HB clock is kept (DESIGN.md §11).
 """
 
 from __future__ import annotations

@@ -254,25 +254,17 @@ class _WcpMixin:
         self._lock_wcp: Dict[int, VectorClock] = {}
         self._lock_hb: Dict[int, VectorClock] = {}
 
-    def adopt_shared_hb(self, bank) -> None:
-        """See :meth:`VectorClockAnalysis.adopt_shared_hb`; also rebinds
-        the per-lock HB release clocks to the bank's."""
-        super().adopt_shared_hb(bank)
-        self._lock_hb = bank.lock_hb
-
     def _acquire_compose(self, t: int, m: int) -> None:
         wcp = self._lock_wcp.get(m)
         if wcp is not None:
             self.cc[t].join(wcp)
-        if self._hb_owner:
-            hb = self._lock_hb.get(m)
-            if hb is not None:
-                self.hh[t].join(hb)
+        hb = self._lock_hb.get(m)
+        if hb is not None:
+            self.hh[t].join(hb)
 
     def _release_publish(self, t: int, m: int) -> None:
         self._lock_wcp[m] = self.cc[t].copy()
-        if self._hb_owner:
-            self._lock_hb[m] = self.hh[t].copy()
+        self._lock_hb[m] = self.hh[t].copy()
 
     def footprint_bytes(self) -> int:
         vc = _vc_bytes(self.width)

@@ -60,7 +60,7 @@ def _keys(result):
 def test_round_trip_mid_stream(avrora, use_kernels):
     """Checkpoint at mid-stream, restore, replay the suffix: reports
     bit-identical to one uninterrupted pass — with kernels (when
-    available) and without (shared-HB groups active)."""
+    available) and without."""
     baseline = MultiRunner([create(n, avrora) for n in NAMES],
                            use_kernels=use_kernels).run(avrora)
     cut = len(avrora) // 3
@@ -81,33 +81,6 @@ def test_round_trip_mid_stream(avrora, use_kernels):
     for b, r in zip(baseline.entries, result.entries):
         assert b.report.dynamic_count == r.report.dynamic_count
         assert b.report.static_count == r.report.static_count
-
-
-def test_restore_rebuilds_shared_banks_refcount_correct(avrora):
-    """Grouped analyses restore aliasing ONE bank object, with the
-    refcount equal to the surviving membership."""
-    session = MultiRunner([create(n, avrora) for n in NAMES],
-                          use_kernels=False).session()
-    it = iter(avrora.events)
-    session.feed(it, max_events=200)
-    groups_before = [(len(m), bank.refs)
-                     for bank, m in session.runner.hb_groups]
-    assert groups_before, "expected at least one shared-HB group"
-    buf = io.BytesIO()
-    session.save_checkpoint(buf)
-    buf.seek(0)
-    restored = MultiRunner.restore_checkpoint(buf)
-    groups_after = [(len(m), bank.refs)
-                    for bank, m in restored.runner.hb_groups]
-    assert groups_after == groups_before
-    for bank, members in restored.runner.hb_groups:
-        assert bank.refs == len(members)
-        for entry in members:
-            # the member's HB state must *be* the bank's (identity, not
-            # equality — that is what one-transition-per-event relies on)
-            a = entry.analysis
-            shared = a.hh if a.hh is not None else a.cc
-            assert shared is bank.hh
 
 
 def test_save_non_destructive(avrora):
@@ -224,11 +197,15 @@ def test_checkpoint_file_format_and_errors(tmp_path, avrora):
     with pytest.raises(CheckpointError, match="corrupt checkpoint metadata"):
         restore_session(str(garbled))
 
-    versioned = tmp_path / "versioned.ckpt"
-    versioned.write_bytes(
-        MAGIC + json.dumps({"version": 999}).encode() + b"\n")
-    with pytest.raises(CheckpointError, match="unsupported checkpoint"):
-        restore_session(str(versioned))
+    # version 1 checkpoints predate per-analysis clocks: their grouped
+    # analyses alias a clock bank that no longer exists, so they must
+    # never be restored
+    for version in (1, 999):
+        versioned = tmp_path / "v{}.ckpt".format(version)
+        versioned.write_bytes(
+            MAGIC + json.dumps({"version": version}).encode() + b"\n")
+        with pytest.raises(CheckpointError, match="unsupported checkpoint"):
+            restore_session(str(versioned))
 
     truncated = tmp_path / "trunc.ckpt"
     with open(path, "rb") as fp:

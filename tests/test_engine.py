@@ -253,8 +253,8 @@ class TestStreaming:
 
 
 class ExplodingWcp(Analysis):
-    """A TRACKS_HB analysis that raises partway through, to exercise
-    error isolation inside a fused shared-HB group."""
+    """A WCP analysis that raises partway through, to exercise error
+    isolation next to the other WCP analyses."""
 
     name = "exploding-wcp"
     relation = "wcp"
@@ -276,64 +276,25 @@ class ExplodingWcp(Analysis):
         return inst
 
 
-class TestSharedHB:
+class TestWcpFamily:
+    """Co-scheduled WCP analyses each own their clocks: reports, failure
+    isolation and footprint peaks all match solo runs."""
+
     def _wcp_trace(self, rng, n=200):
         return random_trace(rng, n_events=n, threads=4, locks=3, nvars=4)
 
-    def test_bank_activates_for_two_or_more_wcp_analyses(self, rng):
+    def test_share_hb_keyword_is_accepted_and_ignored(self, rng):
         trace = self._wcp_trace(rng)
-        analyses = [create(n, trace) for n in
-                    ("unopt-wcp", "fto-wcp", "st-wcp", "fto-dc")]
-        # kernel entries replay solo; disable them so st-wcp joins the bank
-        runner = MultiRunner(analyses, use_kernels=False)
-        # adoption is deferred to run() so a never-run runner leaves
-        # its analyses untouched
-        assert runner.hb_groups == []
-        assert all(a._hb_owner for a in analyses[:3])
-        runner.run(trace)
-        assert len(runner.hb_groups) == 1
-        bank, members = runner.hb_groups[0]
-        assert len(members) == 3
-        assert bank.refs == 3
-        # every member reads literally the same clock bank
-        for entry in members:
-            assert entry.analysis.hh is bank.hh
-            assert entry.analysis._hvol_w is bank.vol_w
-            assert entry.analysis._lock_hb is bank.lock_hb
-            assert entry.analysis._hb_owner is False
-        # the non-WCP analysis keeps private state
-        assert analyses[3].hh is None
+        for share_hb in (True, False):
+            analyses = [create(n, trace) for n in ("unopt-wcp", "st-wcp")]
+            result = MultiRunner(analyses, share_hb=share_hb).run(trace)
+            for name in ("unopt-wcp", "st-wcp"):
+                solo = repro.detect_races(trace, name)
+                assert _race_key(result.report(name)) == _race_key(solo), \
+                    (share_hb, name)
 
-    def test_no_bank_for_a_single_wcp_analysis(self, rng):
-        trace = self._wcp_trace(rng)
-        runner = MultiRunner([create("st-wcp", trace),
-                              create("fto-dc", trace)])
-        runner.run(trace)
-        assert runner.hb_groups == []
-        assert runner.entries[0].analysis._hb_owner is True
-
-    def test_share_hb_false_disables_grouping(self, rng):
-        trace = self._wcp_trace(rng)
-        analyses = [create(n, trace) for n in ("unopt-wcp", "st-wcp")]
-        runner = MultiRunner(analyses, share_hb=False)
-        result = runner.run(trace)
-        assert runner.hb_groups == []
-        for name in ("unopt-wcp", "st-wcp"):
-            solo = repro.detect_races(trace, name)
-            assert _race_key(result.report(name)) == _race_key(solo), name
-
-    def test_used_analysis_is_not_adopted(self, rng):
-        trace = self._wcp_trace(rng)
-        used = create("st-wcp", trace)
-        used.run()  # no longer fresh: its HB clocks have advanced
-        fresh = create("fto-wcp", trace)
-        runner = MultiRunner([used, fresh])
-        runner.run(trace)
-        assert runner.hb_groups == []
-
-    def test_shared_reports_match_solo_including_hard_edges(self, rng):
-        # forks/joins/volatiles/class-inits all mutate HB state; the
-        # bank must replicate each transition exactly once
+    def test_wcp_family_reports_match_solo_including_hard_edges(self, rng):
+        # forks/joins/volatiles/class-inits all mutate HB state
         from tests.test_fuzz_differential import fuzzed_trace
         import random as _random
 
@@ -348,26 +309,23 @@ class TestSharedHB:
                 assert _race_key(result.report(name)) == _race_key(solo), \
                     (trial, name)
 
-    def test_group_member_failure_is_isolated(self, rng):
+    def test_wcp_member_failure_is_isolated(self, rng):
         trace = self._wcp_trace(rng)
         boom = ExplodingWcp(trace, explode_at=40)
         survivors = [create("st-wcp", trace), create("fto-wcp", trace)]
-        # kernel entries replay solo; disable them so the group forms
-        runner = MultiRunner([boom] + survivors, use_kernels=False)
-        result = runner.run(trace)
-        assert len(runner.hb_groups) == 1
-        bank, members = runner.hb_groups[0]
+        # scalar replay for every analysis, the path the failure takes
+        result = MultiRunner([boom] + survivors,
+                             use_kernels=False).run(trace)
         (failure,) = result.failures
         assert failure.name == "exploding-wcp"
         assert isinstance(failure.error, ZeroDivisionError)
-        assert bank.refs == 2
-        # the surviving members still match their solo runs exactly
+        # the surviving analyses still match their solo runs exactly
         for name in ("st-wcp", "fto-wcp"):
             solo = repro.detect_races(trace, name)
             assert _race_key(result.report(name)) == _race_key(solo), name
             assert result.report(name).events_processed == len(trace)
 
-    def test_all_group_members_can_fail(self, rng):
+    def test_all_wcp_members_can_fail(self, rng):
         trace = self._wcp_trace(rng)
         a = ExplodingWcp(trace, explode_at=10)
         b = ExplodingWcp(trace, explode_at=30)
@@ -377,12 +335,10 @@ class TestSharedHB:
         assert _race_key(result.report("fto-hb")) == _race_key(solo)
         assert result.events_processed == len(trace)
 
-    def test_footprint_sampling_matches_solo_in_shared_mode(self, rng):
+    def test_footprint_sampling_matches_solo_for_wcp_family(self, rng):
         trace = self._wcp_trace(rng, n=400)
         analyses = [create(n, trace) for n in ("unopt-wcp", "st-wcp")]
-        runner = MultiRunner(analyses, sample_every=32)
-        result = runner.run(trace)
-        assert len(runner.hb_groups) == 1
+        result = MultiRunner(analyses, sample_every=32).run(trace)
         for name in ("unopt-wcp", "st-wcp"):
             solo = create(name, trace).run(sample_every=32)
             assert result.report(name).peak_footprint_bytes == \
@@ -447,17 +403,6 @@ class TestSameEpochFilter:
         MultiRunner([probe]).run(trace)
         assert probe.calls < len(trace)
 
-    def test_adopted_member_refuses_solo_run(self, rng):
-        # regression: after an engine pass adopted an analysis into the
-        # shared bank, running it solo must fail loudly, not silently
-        # report with frozen HB clocks
-        trace = random_trace(rng, n_events=200, threads=4, locks=3)
-        a1, a2 = create("st-wcp", trace), create("fto-wcp", trace)
-        # kernel entries replay solo; disable them so adoption happens
-        MultiRunner([a1, a2], use_kernels=False).run(trace)
-        with pytest.raises(RuntimeError, match="shared bank"):
-            a1.run()
-
     def test_never_run_runner_leaves_analyses_usable(self, rng):
         trace = random_trace(rng, n_events=200, threads=4, locks=3)
         a1, a2 = create("st-wcp", trace), create("fto-wcp", trace)
@@ -466,10 +411,9 @@ class TestSameEpochFilter:
         assert _race_key(a1.run()) == _race_key(solo)
 
     def test_sampling_failure_detaches_only_the_faulty_member(self, rng):
-        # regression: a footprint_bytes failure fires *after* the bank's
-        # HB transition; it must be blamed on the member whose sampler
-        # raised, not the last-dispatched member, and must not re-apply
-        # the bank transition for that event
+        # regression: a footprint_bytes failure must be blamed on the
+        # analysis whose sampler raised, and must leave the others'
+        # reports and peaks equal to their solo runs
         trace = random_trace(rng, n_events=300, threads=4, locks=3)
         faulty = create("st-wcp", trace)
 
@@ -640,12 +584,10 @@ class TestSession:
         assert seen[-1] == result.events_processed == len(trace)
         assert seen == sorted(set(seen))
 
-    def test_shared_hb_group_active_across_installments(self, rng):
+    def test_wcp_family_across_installments(self, rng):
         trace = random_trace(rng, n_events=90)
         wcp_names = ("unopt-wcp", "fto-wcp", "st-wcp")
-        runner = MultiRunner([create(n, trace) for n in wcp_names])
-        session = runner.session()
-        assert runner.hb_groups  # the family adopted a shared bank
+        session = MultiRunner([create(n, trace) for n in wcp_names]).session()
         self._drain(session, trace.events, 11)
         result = session.finish()
         for name in wcp_names:

@@ -184,15 +184,14 @@ def test_fuzz_online_socket_session_equals_offline(fuzz_count, tmp_path):
             (trial, anchor)
 
 
-def test_fuzz_parallel_equals_serial(fuzz_count, monkeypatch):
+def test_fuzz_parallel_equals_serial(fuzz_count):
     """Every fuzzed trace, sharded across a randomized worker count
     (1–4, so shard assignments sweep from everything-in-one-process to
-    maximal family-aware spread) and a randomized analysis subset,
-    produces reports identical to the serial single-pass engine:
-    identical race records and identical per-analysis summary counts.
-    Chunk sizes are randomized down to a few events so multi-chunk
-    broadcast and ring wraparound are exercised, and every 7th trial
-    forces the pickled-queue transport fallback."""
+    maximal spread) and a randomized analysis subset, produces reports
+    identical to the serial single-pass engine: identical race records
+    and identical per-analysis summary counts.  Chunk sizes are
+    randomized down to a few events so multi-chunk broadcast and ring
+    wraparound are exercised."""
     from repro.core.parallel import ParallelRunner
 
     rng = random.Random(0x9A7A11E1)
@@ -204,9 +203,6 @@ def test_fuzz_parallel_equals_serial(fuzz_count, monkeypatch):
         serial = MultiRunner(
             [create(name, trace) for name in names]).run(trace)
         assert serial.ok, (trial, serial.failures)
-        monkeypatch.setenv(
-            "REPRO_PARALLEL_TRANSPORT",
-            "pickle" if trial % 7 == 3 else "shm")
         workers = rng.randrange(1, 5)
         parallel = ParallelRunner(
             names, trace, workers=workers,
@@ -247,8 +243,7 @@ def test_fuzz_checkpoint_restore_equals_uninterrupted(fuzz_count, tmp_path):
     and restored — in this process every trial, and in a *fresh* process
     on a rotating subset — replays its suffix to reports bit-identical
     to one uninterrupted run.  Wire formats alternate per trial, batch
-    kernels toggle on/off, and the full analysis matrix keeps the
-    shared-HB groups active across the round trip."""
+    kernels toggle on/off, and the full analysis matrix rides along."""
     from repro.trace.format import dump_trace, stream_trace
 
     rng = random.Random(0xC4EC4)

@@ -2,7 +2,7 @@
 
 The contract under test (DESIGN.md §6): a sharded pass produces reports
 *bit-identical* to the serial single-pass engine on the same events —
-across worker counts, transports, and the sampling path — and a worker
+across worker counts and the sampling path — and a worker
 process dying mid-stream degrades exactly like a detached analysis
 (partial results for the survivors, ``result.ok`` False, the CLI's
 exit-2 path).  The heavier randomized parallel==serial sweep lives in
@@ -21,7 +21,7 @@ from repro.core.parallel import (
     plan_shards,
     run_parallel,
 )
-from repro.core.registry import MAIN_MATRIX, create, relation_of
+from repro.core.registry import MAIN_MATRIX, create
 from repro.trace.format import dump_trace
 from repro.workloads import WorkloadSpec, generate_trace
 from tests.conftest import ALL_ANALYSES
@@ -47,14 +47,6 @@ def serial(workload):
 
 
 class TestShardPlanning:
-    def test_families_stay_atomic(self):
-        shards = plan_shards(ALL_ANALYSES, 4)
-        by_name = [[ALL_ANALYSES[p] for p in shard] for shard in shards]
-        for family in ("hb", "wcp"):
-            homes = {i for i, shard in enumerate(by_name)
-                     if any(relation_of(n) == family for n in shard)}
-            assert len(homes) == 1, (family, by_name)
-
     def test_spread_balances_load(self):
         shards = plan_shards(ALL_ANALYSES, 4)
         sizes = sorted(len(s) for s in shards)
@@ -71,13 +63,6 @@ class TestShardPlanning:
                                 workers=16)
         assert runner.workers == 2
         assert len(runner.shards) == 2
-
-    def test_empty_shards_dropped(self):
-        # 3 hb + 1 dc with 4 workers: the hb family is atomic, so only
-        # two shards can be non-empty
-        shards = plan_shards(["unopt-hb", "ft2", "fto-hb", "st-dc"], 4)
-        assert all(shards)
-        assert len(shards) == 2
 
     def test_every_position_assigned_exactly_once(self):
         for workers in (1, 2, 3, 4, 7, 11):
@@ -108,14 +93,6 @@ class TestParallelEqualsSerial:
         result = ParallelRunner(["st-wdc"], workload, workers=1).run(workload)
         assert result.ok
         assert _key(result.report("st-wdc")) == _key(solo)
-
-    def test_pickle_transport(self, workload, serial, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL_TRANSPORT", "pickle")
-        result = ParallelRunner(MAIN_MATRIX, workload,
-                                workers=3).run(workload)
-        assert result.ok
-        for name in MAIN_MATRIX:
-            assert _key(result.report(name)) == _key(serial.report(name))
 
     def test_sampling_path_matches_solo_peaks(self, workload):
         # sampling disables the parent's same-epoch filter (as in the
