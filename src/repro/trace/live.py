@@ -760,6 +760,10 @@ def send_events(dims: Union[Trace, TraceInfo], events, spec: str,
     """Stream ``events`` to a waiting live endpoint; returns the count
     of events put on the wire by *this* connection.
 
+    The call returns only after the consumer has read every byte and
+    closed the connection.  A consumer that hangs up early raises
+    :class:`OSError` (a broken pipe mid-send, or a reset afterwards).
+
     ``dims`` supplies the header every live analysis needs up front (a
     :class:`Trace` or :class:`TraceInfo`).  ``binary`` picks the wire
     format: v2 binary (default, >2x cheaper to ingest) or v1 text; the
@@ -816,21 +820,39 @@ def send_events(dims: Union[Trace, TraceInfo], events, spec: str,
                 if writer.events_written % flush_every == 0:
                     writer.flush()
             writer.flush()
-            return writer.events_written
-        sink.write((header_line(dims) + "\n").encode("ascii"))
-        lines = []
-        count = 0
-        for event in events:
-            lines.append(format_event(event) + "\n")
-            count += 1
-            if count % flush_every == 0:
+            count = writer.events_written
+        else:
+            sink.write((header_line(dims) + "\n").encode("ascii"))
+            lines = []
+            count = 0
+            for event in events:
+                lines.append(format_event(event) + "\n")
+                count += 1
+                if count % flush_every == 0:
+                    sink.write("".join(lines).encode("ascii"))
+                    lines = []
+            if lines:
                 sink.write("".join(lines).encode("ascii"))
-                lines = []
-        if lines:
-            sink.write("".join(lines).encode("ascii"))
+        _await_consumed(sock)
         return count
     finally:
         sock.close()
+
+
+def _await_consumed(sock: socket.socket) -> None:
+    """Half-close, then block until the consumer closes its end.
+
+    A finished ``sendall`` only means the kernel buffered the bytes: a
+    whole trace can fit in the socket buffer of a consumer that then
+    hangs up unread.  So the producer sends EOF (``SHUT_WR``) and waits
+    for the consumer's close.  A consumer that read every byte closes
+    cleanly (``recv`` returns ``b""``); one that hangs up with bytes
+    still unread resets the connection, which raises
+    :class:`ConnectionResetError` here.
+    """
+    sock.shutdown(socket.SHUT_WR)
+    while sock.recv(4096):
+        pass
 
 
 def send_trace(trace: Trace, spec: str, binary: bool = True,

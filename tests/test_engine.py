@@ -276,14 +276,16 @@ class ExplodingWcp(Analysis):
         return inst
 
 
-class TestWcpFamily:
-    """Co-scheduled WCP analyses each own their clocks: reports, failure
+class TestSharedHB:
+    """WCP analyses co-scheduled in one runner each own their clocks (the
+    ``share_hb`` keyword is accepted and ignored): reports, failure
     isolation and footprint peaks all match solo runs."""
 
     def _wcp_trace(self, rng, n=200):
         return random_trace(rng, n_events=n, threads=4, locks=3, nvars=4)
 
-    def test_share_hb_keyword_is_accepted_and_ignored(self, rng):
+    def test_share_hb_false_disables_grouping(self, rng):
+        # share_hb is a no-op: either value gives the solo reports
         trace = self._wcp_trace(rng)
         for share_hb in (True, False):
             analyses = [create(n, trace) for n in ("unopt-wcp", "st-wcp")]
@@ -293,7 +295,7 @@ class TestWcpFamily:
                 assert _race_key(result.report(name)) == _race_key(solo), \
                     (share_hb, name)
 
-    def test_wcp_family_reports_match_solo_including_hard_edges(self, rng):
+    def test_shared_reports_match_solo_including_hard_edges(self, rng):
         # forks/joins/volatiles/class-inits all mutate HB state
         from tests.test_fuzz_differential import fuzzed_trace
         import random as _random
@@ -309,7 +311,7 @@ class TestWcpFamily:
                 assert _race_key(result.report(name)) == _race_key(solo), \
                     (trial, name)
 
-    def test_wcp_member_failure_is_isolated(self, rng):
+    def test_group_member_failure_is_isolated(self, rng):
         trace = self._wcp_trace(rng)
         boom = ExplodingWcp(trace, explode_at=40)
         survivors = [create("st-wcp", trace), create("fto-wcp", trace)]
@@ -325,7 +327,7 @@ class TestWcpFamily:
             assert _race_key(result.report(name)) == _race_key(solo), name
             assert result.report(name).events_processed == len(trace)
 
-    def test_all_wcp_members_can_fail(self, rng):
+    def test_all_group_members_can_fail(self, rng):
         trace = self._wcp_trace(rng)
         a = ExplodingWcp(trace, explode_at=10)
         b = ExplodingWcp(trace, explode_at=30)
@@ -335,7 +337,7 @@ class TestWcpFamily:
         assert _race_key(result.report("fto-hb")) == _race_key(solo)
         assert result.events_processed == len(trace)
 
-    def test_footprint_sampling_matches_solo_for_wcp_family(self, rng):
+    def test_footprint_sampling_matches_solo_in_shared_mode(self, rng):
         trace = self._wcp_trace(rng, n=400)
         analyses = [create(n, trace) for n in ("unopt-wcp", "st-wcp")]
         result = MultiRunner(analyses, sample_every=32).run(trace)
@@ -584,7 +586,7 @@ class TestSession:
         assert seen[-1] == result.events_processed == len(trace)
         assert seen == sorted(set(seen))
 
-    def test_wcp_family_across_installments(self, rng):
+    def test_shared_hb_group_active_across_installments(self, rng):
         trace = random_trace(rng, n_events=90)
         wcp_names = ("unopt-wcp", "fto-wcp", "st-wcp")
         session = MultiRunner([create(n, trace) for n in wcp_names]).session()

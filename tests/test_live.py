@@ -132,6 +132,27 @@ class TestSocketSource:
         assert listener.address == (host, port)
         assert listener.describe() == "{}:{}".format(host, port)
 
+    @pytest.mark.parametrize("binary", [True, False])
+    def test_producer_fails_when_consumer_hangs_up_unread(self, tmp_path,
+                                                          binary):
+        # figure1 fits in the socket buffer, so sendall returns before
+        # the consumer hangs up; the producer must still not report a
+        # clean send of bytes nobody read
+        addr = str(tmp_path / "unread.sock")
+        listener = TraceListener(addr)
+
+        def accept_and_drop():
+            conn = listener.accept_connection(timeout=10)
+            time.sleep(0.2)
+            conn.close()
+            listener.close()
+
+        dropper = threading.Thread(target=accept_and_drop, daemon=True)
+        dropper.start()
+        with pytest.raises(OSError):
+            send_trace(figure1(), addr, binary=binary)
+        dropper.join()
+
     def test_magic_split_across_packets(self, tmp_path):
         # the format sniffer must keep reading until it has the whole
         # magic, however the packets slice it
