@@ -276,7 +276,7 @@ def analyze_cached(cache_dir: str, trace_path: str,
         info = stream.require_info()
         runner = MultiRunner([create(name, info) for name in analyses])
         session = runner.session()
-        source = iter(stream)
+        source = stream  # read by columns, across both feeds below
     else:
         source = _suffix_events(trace_path, segs, resumed_from)
 

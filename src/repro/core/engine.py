@@ -12,13 +12,15 @@ feeds every registered analysis from it:
   :class:`~repro.trace.format.TraceStream` parsing a multi-gigabyte
   capture lazily) and the engine runs in memory bounded by analysis
   metadata, not trace length;
-* **chunked replay over flat arrays** — each analysis exposes a
-  per-event-kind table of bound handlers
-  (:meth:`repro.core.base.Analysis.dispatch_table`); the engine decodes
-  each event once into four flat, *preallocated* int arrays (kind, tid,
-  target, site — no per-event record object, so chunk assembly allocates
-  nothing and the cyclic GC stays quiet) and replays the chunk through
-  each analysis with the dispatch table and array slots bound to locals;
+* **one column path: read → filter → replay** — the engine reads each
+  chunk as four event columns (kind, tid, target, site) straight from
+  the source (:meth:`~repro.trace.stream.TraceStreamBase.read_columns`:
+  the binary reader decodes into int64 columns with numpy; text and
+  in-memory events go through one Event→columns adapter), drops
+  same-epoch repeats with one filter over the columns, and replays the
+  kept events through each analysis — a batch kernel
+  (:mod:`repro.core.kernels`) or the per-event-kind table of bound
+  handlers (:meth:`repro.core.base.Analysis.dispatch_table`);
 * **error isolation** — an analysis whose handler raises is detached and
   recorded as a :class:`AnalysisFailure`; the remaining analyses are
   unaffected and still produce reports;
@@ -47,7 +49,7 @@ identically inside and outside the engine.
 from __future__ import annotations
 
 import gc
-from itertools import islice
+from itertools import chain, islice
 from typing import (
     Callable,
     Dict,
@@ -59,10 +61,10 @@ from typing import (
     Union,
 )
 
-from repro.clocks.epoch import TID_BITS
 from repro.core.base import Analysis, HANDLER_NAMES, RaceReport
 from repro.core.registry import create
 from repro.trace.event import Event
+from repro.trace.stream import column_source
 from repro.trace.trace import Trace, TraceInfo
 
 NUM_KINDS = len(HANDLER_NAMES)
@@ -83,6 +85,94 @@ _EPOCH_ENDERS = (
     True,   # STATIC_INIT
     False,  # STATIC_ACCESS (joins knowledge only)
 )
+
+
+def read_chunk(source, limit: int):
+    """Read up to ``limit`` events from a column source (anything with
+    ``read_columns``; see :func:`repro.trace.stream.column_source`).
+
+    Returns ``(columns, n, error, exhausted)``: the four columns of the
+    ``n`` events read — lists, or int64 arrays from the numpy binary
+    decoder — the exception the source raised, if any (the events read
+    before it are kept, so they still reach the analyses), and whether
+    the source ran dry.
+    """
+    blocks = []
+    n = 0
+    error: Optional[BaseException] = None
+    exhausted = False
+    read = source.read_columns
+    while n < limit:
+        try:
+            cols = read(limit - n)
+        except BaseException as exc:
+            error = exc
+            break
+        m = len(cols[0])
+        if not m:
+            exhausted = True
+            break
+        blocks.append(cols)
+        n += m
+    if len(blocks) == 1:
+        return blocks[0], n, error, exhausted
+    if not blocks:
+        return None, 0, error, exhausted
+    if all(isinstance(b[0], list) for b in blocks):
+        cols = tuple(list(chain.from_iterable(b[c] for b in blocks))
+                     for c in range(4))
+    else:
+        import numpy as np  # the numpy decoder made these blocks
+
+        cols = tuple(np.concatenate([b[c] for b in blocks])
+                     for c in range(4))
+    return cols, n, error, exhausted
+
+
+def filter_chunk(cols, n: int, base: int, filt, vector: bool):
+    """Apply the shared same-epoch filter to one chunk from
+    :func:`read_chunk` whose first event has global index ``base``.
+
+    Returns ``(indices, kinds, tids, targets, sites, m, arrays)``: the
+    ``m`` kept events as Python list columns (plain ints reach the
+    handlers and the race records) with their global event indices, and
+    — when ``vector`` is set — their kind/tid/target int64 arrays for a
+    :class:`~repro.core.kernels.ChunkPlan` (else None).  ``filt`` is
+    None (keep everything), a :class:`~repro.core.kernels.SameEpochFilter`,
+    or, with ``vector``, a :class:`~repro.core.kernels.VecSameEpochFilter`.
+    """
+    kinds, tids, targets, sites = cols
+    lists = isinstance(kinds, list)
+    if not vector:
+        if not lists:
+            kinds, tids = kinds.tolist(), tids.tolist()
+            targets, sites = targets.tolist(), sites.tolist()
+        indices = list(range(base, base + n))
+        m = n if filt is None else filt.apply(indices, kinds, tids, targets,
+                                              sites, n)
+        return indices, kinds, tids, targets, sites, m, None
+    import numpy as np  # vector implies the kernels, hence numpy
+
+    if lists:
+        kv = np.fromiter(kinds, np.int64, count=n)
+        tv = np.fromiter(tids, np.int64, count=n)
+        xv = np.fromiter(targets, np.int64, count=n)
+    else:
+        kv, tv, xv = kinds, tids, targets
+    keep = None if filt is None else filt.keep(kv, tv, xv)
+    if keep is None:
+        indices = list(range(base, base + n))
+        if not lists:
+            kinds, tids = kinds.tolist(), tids.tolist()
+            targets, sites = targets.tolist(), sites.tolist()
+        return indices, kinds, tids, targets, sites, n, (kv, tv, xv)
+    kv, tv, xv = kv[keep], tv[keep], xv[keep]
+    if lists:
+        sites = [sites[p] for p in keep.tolist()]
+    else:
+        sites = sites[keep].tolist()
+    return ((keep + base).tolist(), kv.tolist(), tv.tolist(), xv.tolist(),
+            sites, len(keep), (kv, tv, xv))
 
 
 class AnalysisFailure:
@@ -207,9 +297,9 @@ class EngineSession:
 
     Obtained from :meth:`MultiRunner.session`.  The session owns the
     pass-wide state the one-shot :meth:`MultiRunner.run` used to keep in
-    locals — the flat decode buffers, the shared same-epoch filter's
-    per-thread/per-variable tokens, the running event index, and the
-    live/detached bookkeeping — so an event stream can be delivered in
+    locals — the shared same-epoch filter's per-thread/per-variable
+    tokens, the running event index, and the live/detached
+    bookkeeping — so an event stream can be delivered in
     arbitrary installments (e.g. bounded windows drained from a live
     socket) with results identical to one uninterrupted pass: chunk
     boundaries never affect analysis state, and the filter's epoch
@@ -235,11 +325,11 @@ class EngineSession:
         # kind, variable) access with no intervening epoch-ending event
         # by that thread and no intervening write to the variable hits a
         # [Same Epoch] fast path in each tier (§4.1; unopt's §5.1
-        # equivalent) — so one decode-time check replaces N dispatches.
-        # Active only when every analysis declares the fast-path
-        # semantics (SAME_EPOCH_SKIP), and disabled when footprint
-        # sampling or case counting is on: a skipped access would then
-        # miss a sample index / a same-epoch case bump.
+        # equivalent) — so one check over the chunk's columns replaces N
+        # dispatches.  Active only when every analysis declares the
+        # fast-path semantics (SAME_EPOCH_SKIP), and disabled when
+        # footprint sampling or case counting is on: a skipped access
+        # would then miss a sample index / a same-epoch case bump.
         self._filter_on = (runner.sample_every == 0
                            and runner.window_events is None
                            and all(e.analysis.SAME_EPOCH_SKIP
@@ -252,33 +342,22 @@ class EngineSession:
         self._next_evict = (self._window if self._window is not None
                             else None)
         # batch kernels (repro.core.kernels): entries with a kernel skip
-        # the per-event replay; chunks are then packaged into a shared
-        # ChunkPlan, and the decode-time filter runs vectorized
-        self._plan_live = any(e.kernel is not None for e in self._live)
+        # the per-event replay; chunks then stay numpy columns up to a
+        # shared ChunkPlan, and the filter runs vectorized
+        self._vector = runner._kernels_on
         self._make_plan = None
-        self._vec_filter = None
-        if runner._kernels_on:
+        self._filter = None
+        if self._vector or self._filter_on:
             from repro.core import kernels
 
-            if self._plan_live:
+            if self._vector and any(e.kernel is not None
+                                    for e in self._live):
                 self._make_plan = kernels.ChunkPlan
-            if self._filter_on:
+            if self._filter_on and self._vector:
                 width = max(e.analysis.width for e in self.entries)
-                self._vec_filter = kernels.make_filter(width, _EPOCH_ENDERS)
-        # per-thread tokens (epoch << TID_BITS | tid), recomputed only at
-        # epoch-ending events so the access fast path is one dict get
-        self._toks: Dict[int, int] = {}
-        self._last_r: Dict[int, int] = {}  # var -> token of its last reader
-        self._last_w: Dict[int, int] = {}  # var -> token of its last writer
-        # flat preallocated decode buffers: one int per slot, no
-        # per-event record allocation (islice in the replay loops trims
-        # to the live prefix).
-        chunk_size = runner.chunk_events
-        self._indices = [0] * chunk_size
-        self._kinds = [0] * chunk_size
-        self._tids = [0] * chunk_size
-        self._targets = [0] * chunk_size
-        self._sites = [0] * chunk_size
+                self._filter = kernels.make_filter(width, _EPOCH_ENDERS)
+            elif self._filter_on:
+                self._filter = kernels.SameEpochFilter(_EPOCH_ENDERS)
         self._events_seen = 0
         self._reported = 0  # last count handed to the progress callback
         self._races_seen = [len(e.analysis.races) for e in self.entries]
@@ -320,56 +399,39 @@ class EngineSession:
              max_events: Optional[int] = None) -> List[tuple]:
         """Consume one installment of the stream; return its new races.
 
-        ``events`` may be a :class:`Trace`, any iterable, or a live
-        iterator shared across calls — the installment ends when the
-        iterable is exhausted or, with ``max_events``, after that many
-        events (pass the *same* iterator again to continue; an exhausted
-        iterator makes ``feed`` a no-op, which is the caller's EOF
-        signal via an unchanged :attr:`events_processed`).
+        ``events`` may be a :class:`Trace`, any iterable, a trace stream
+        (read by columns), or a live iterator shared across calls — the
+        installment ends when the source is exhausted or, with
+        ``max_events``, after exactly that many events (pass the *same*
+        source again to continue; an exhausted source makes ``feed`` a
+        no-op, which is the caller's EOF signal via an unchanged
+        :attr:`events_processed`).
 
-        Returns the races discovered by this installment as
+        Each chunk runs the one column path: read the events as
+        columns, drop same-epoch repeats with the shared filter, replay
+        the kept events through each analysis' batch kernel or dispatch
+        table.  Returns the races discovered by this installment as
         ``(analysis_name, RaceRecord)`` pairs ordered by event index
         (ties keep registration order); across a session every dynamic
         race is returned exactly once.  An analysis whose handler raises
         is detached exactly as in :meth:`MultiRunner.run`; errors raised
-        by the *source* iterator propagate with all session state intact,
-        so a caller may still :meth:`snapshot` or :meth:`finish` after a
-        malformed or timed-out live feed.
+        by the *source* propagate after the events read before them were
+        replayed, with all session state intact, so a caller may still
+        :meth:`snapshot` or :meth:`finish` after a malformed or timed-out
+        live feed.
         """
         if self._finished:
             raise RuntimeError(
                 "engine session is finished; open a new session to feed "
                 "more events")
-        if isinstance(events, Trace):
-            events = events.events
-        source = iter(events)
-        if max_events is not None:
-            source = islice(source, max_events)
+        source = column_source(events)
         runner = self._runner
-        live = self._live
         progress = runner.progress
         chunk_size = runner.chunk_events
-        vec_filter = self._vec_filter
-        make_plan = self._make_plan
-        # the vectorized filter replays whole decoded chunks, so the
-        # per-event scalar filter only runs when it is unavailable
-        filter_on = self._filter_on and vec_filter is None
-        epoch_enders = _EPOCH_ENDERS
-        toks = self._toks
-        last_r = self._last_r
-        last_w = self._last_w
-        toks_get = toks.get
-        last_r_get = last_r.get
-        last_w_get = last_w.get
-        indices = self._indices
-        kinds = self._kinds
-        tids = self._tids
-        targets = self._targets
-        sites = self._sites
         window = self._window
-        var_last = self._var_last
-        i = self._events_seen - 1
-        exhausted = False
+        filt = self._filter
+        vector = self._vector
+        left = max_events
         # Batch-pass GC hygiene: with N analyses' metadata live at once,
         # every cyclic collection during the pass scans ~N times the
         # objects a solo run would, for data that is refcount-managed
@@ -379,141 +441,62 @@ class EngineSession:
         if gc_was_enabled:
             gc.disable()
         try:
-            while not exhausted:
-                n = 0
-                limit = chunk_size
+            while left is None or left > 0:
+                limit = chunk_size if left is None else min(chunk_size, left)
                 if window is not None:
                     # clamp the chunk at the next eviction boundary, so
                     # windowed results are chunk-size-independent and
                     # identical across the serial and parallel paths
-                    room = self._next_evict - (i + 1)
-                    if room < limit:
-                        limit = room
-                source_error: Optional[BaseException] = None
-                try:
-                    if filter_on:
-                        for e in source:
-                            i += 1
-                            k = e.kind
-                            t = e.tid
-                            x = e.target
-                            if k <= 1:  # READ/WRITE: shared same-epoch filter
-                                tok = toks_get(t, t)
-                                if k == 0:
-                                    if last_r_get(x) == tok:
-                                        continue  # no-op in every analysis
-                                    last_r[x] = tok
-                                else:
-                                    if last_w_get(x) == tok:
-                                        continue  # no-op in every analysis
-                                    last_w[x] = tok
-                                    # a write ends every reader's
-                                    # same-epoch run
-                                    if x in last_r:
-                                        del last_r[x]
-                            elif epoch_enders[k]:
-                                toks[t] = toks_get(t, t) + (1 << TID_BITS)
-                            indices[n] = i
-                            kinds[n] = k
-                            tids[n] = t
-                            targets[n] = x
-                            sites[n] = e.site
-                            n += 1
-                            if n == limit:
-                                break
-                        else:
-                            exhausted = True
-                    elif window is not None:
-                        for e in source:
-                            i += 1
-                            k = e.kind
-                            indices[n] = i
-                            kinds[n] = k
-                            tids[n] = e.tid
-                            targets[n] = e.target
-                            sites[n] = e.site
-                            if k <= 1:  # refresh the variable's age
-                                var_last[e.target] = i
-                            n += 1
-                            if n == limit:
-                                break
-                        else:
-                            exhausted = True
-                    else:
-                        for e in source:
-                            i += 1
-                            indices[n] = i
-                            kinds[n] = e.kind
-                            tids[n] = e.tid
-                            targets[n] = e.target
-                            sites[n] = e.site
-                            n += 1
-                            if n == limit:
-                                break
-                        else:
-                            exhausted = True
-                except BaseException as exc:
-                    # a failing source (malformed live feed, read timeout)
-                    # must not drop the events already decoded into the
-                    # chunk: replay them below, then re-raise — so every
-                    # event counted in events_processed reached the
-                    # analyses and a caller may resume or finish()
-                    source_error = exc
-                if n == 0 and source_error is None:
-                    break
+                    limit = min(limit, self._next_evict - self._events_seen)
+                # a failing source (malformed live feed, read timeout)
+                # keeps the events it delivered: they are replayed
+                # below before the error is re-raised, so every event
+                # counted in events_processed reached the analyses
+                cols, n, error, exhausted = read_chunk(source, limit)
                 if n:
-                    m = n
-                    if vec_filter is not None:
-                        m = vec_filter.apply(indices, kinds, tids, targets,
-                                             sites, n)
-                    if m:
-                        plan = (make_plan(indices, kinds, tids, targets,
-                                          sites, m)
-                                if make_plan is not None else None)
-                        for entry in list(live):
-                            kernel = entry.kernel
-                            try:
-                                if kernel is not None and plan is not None:
-                                    kernel.process_chunk(plan)
-                                else:
-                                    runner._replay(entry, indices, kinds,
-                                                   tids, targets, sites, m)
-                            except Exception as exc:  # detach this analysis
-                                entry.failure = AnalysisFailure(
-                                    entry.name, runner._failure_index(exc),
-                                    exc)
-                                live.remove(entry)
+                    base = self._events_seen
+                    try:
+                        (indices, kinds, tids, targets, sites, m,
+                         arrays) = filter_chunk(cols, n, base, filt, vector)
+                        if window is not None:
+                            self._track_ages(indices, kinds, targets, m)
+                        if m:
+                            self._replay_chunk(indices, kinds, tids,
+                                               targets, sites, m, arrays)
+                    finally:
+                        self._events_seen = base + n
                     if progress is not None:
-                        progress(i + 1)
-                        self._reported = i + 1
-                if window is not None and i + 1 == self._next_evict:
-                    # evict even when the source just failed: the decoded
+                        progress(base + n)
+                        self._reported = base + n
+                    if left is not None:
+                        left -= n
+                if window is not None \
+                        and self._events_seen == self._next_evict:
+                    # evict even when the source just failed: the read
                     # prefix was replayed above, and a resumed feed must
                     # find the boundary already advanced
                     self._evict()
-                if source_error is not None:
-                    raise source_error
+                if error is not None:
+                    raise error
+                if exhausted or not n:
+                    break
         finally:
-            # write-back even when the source iterator raises (live feeds
-            # surface TraceFormatError/TimeoutError here): the session
-            # stays consistent and can still be snapshotted or finished
-            self._events_seen = i + 1
             if gc_was_enabled:
                 gc.enable()
         return self._deliver()
 
     def feed_decoded(self, indices, kinds, tids, targets, sites, n: int,
                      events_seen: int) -> List[tuple]:
-        """Replay one already-decoded flat chunk; return its new races.
+        """Replay one already-filtered chunk of list columns; return its
+        new races.
 
         This is the multiprocess worker entry point
-        (:mod:`repro.core.parallel`): the parallel parent decodes — and
-        same-epoch-filters — the event stream exactly once into the
-        engine's flat int chunk representation and ships the five
-        parallel arrays to each worker, whose shard session replays them
-        here, bypassing the session's own decode loop.  ``indices``
-        holds each record's global event index (records are not
-        contiguous when the parent's filter dropped events);
+        (:mod:`repro.core.parallel`): the parallel parent reads — and
+        same-epoch-filters — the event stream exactly once through the
+        same column path as :meth:`feed` and ships the five kept
+        columns to each worker, whose shard session replays them here.
+        ``indices`` holds each record's global event index (records are
+        not contiguous when the parent's filter dropped events);
         ``events_seen`` is the parent's cumulative *source* event count
         after this chunk (filtered accesses included), which keeps
         :attr:`events_processed` — and therefore the final reports —
@@ -521,40 +504,20 @@ class EngineSession:
         end-of-stream marker to propagate the final event count).
 
         Analysis failures detach exactly as in :meth:`feed`; the chunk
-        arrays are never mutated.
+        lists are never mutated.
         """
         if self._finished:
             raise RuntimeError(
                 "engine session is finished; open a new session to feed "
                 "more events")
-        runner = self._runner
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
         try:
             if n:
                 if self._window is not None:
-                    # the parallel parent decoded; track variable ages here
-                    var_last = self._var_last
-                    for o in range(n):
-                        if kinds[o] <= 1:
-                            var_last[targets[o]] = indices[o]
-                live = self._live
-                make_plan = self._make_plan
-                plan = (make_plan(indices, kinds, tids, targets, sites, n)
-                        if make_plan is not None else None)
-                for entry in list(live):
-                    kernel = entry.kernel
-                    try:
-                        if kernel is not None and plan is not None:
-                            kernel.process_chunk(plan)
-                        else:
-                            runner._replay(entry, indices, kinds, tids,
-                                           targets, sites, n)
-                    except Exception as exc:  # detach this analysis
-                        entry.failure = AnalysisFailure(
-                            entry.name, runner._failure_index(exc), exc)
-                        live.remove(entry)
+                    self._track_ages(indices, kinds, targets, n)
+                self._replay_chunk(indices, kinds, tids, targets, sites, n)
         finally:
             self._events_seen = events_seen
             if gc_was_enabled:
@@ -565,6 +528,38 @@ class EngineSession:
             while events_seen >= self._next_evict:
                 self._evict()
         return self._deliver()
+
+    def _replay_chunk(self, indices, kinds, tids, targets, sites, m: int,
+                      arrays=None) -> None:
+        """Replay ``m`` kept events through every live analysis: one
+        shared :class:`~repro.core.kernels.ChunkPlan` for the batch
+        kernels (built from ``arrays`` when given), the dispatch tables
+        for the rest.  A raising analysis is detached."""
+        runner = self._runner
+        live = self._live
+        make_plan = self._make_plan
+        plan = (make_plan(indices, kinds, tids, targets, sites, m, arrays)
+                if make_plan is not None else None)
+        for entry in list(live):
+            kernel = entry.kernel
+            try:
+                if kernel is not None and plan is not None:
+                    kernel.process_chunk(plan)
+                else:
+                    runner._replay(entry, indices, kinds, tids, targets,
+                                   sites, m)
+            except Exception as exc:  # detach this analysis
+                entry.failure = AnalysisFailure(
+                    entry.name, runner._failure_index(exc), exc)
+                live.remove(entry)
+
+    def _track_ages(self, indices, kinds, targets, n: int) -> None:
+        """Bounded-window mode: record each accessed variable's latest
+        access index (what :meth:`_evict` ages out by)."""
+        var_last = self._var_last
+        for j, k, x in zip(islice(indices, n), kinds, targets):
+            if k <= 1:
+                var_last[x] = j
 
     def _evict(self) -> None:
         """Apply one window-boundary eviction (bounded-window mode):
@@ -612,8 +607,7 @@ class EngineSession:
         died.  Drive :meth:`feed` directly only when per-window work is
         needed (progress sampling, adaptive window sizes).
         """
-        source = iter(events.events if isinstance(events, Trace)
-                      else events)
+        source = column_source(events)
         while True:
             seen = self._events_seen
             try:
@@ -681,21 +675,16 @@ class EngineSession:
         """The shared same-epoch filter's cross-chunk state as three
         plain dicts (``toks``, ``last_r``, ``last_w``) — numpy-free, so
         a checkpoint written under one filter implementation restores
-        into the other (the vectorized filter keeps the identical token
-        scheme)."""
-        if self._vec_filter is not None:
-            return self._vec_filter.export_state()
-        return dict(self._toks), dict(self._last_r), dict(self._last_w)
+        into the other (both keep the same token state)."""
+        if self._filter is not None:
+            return self._filter.export_state()
+        return {}, {}, {}
 
     def _seed_filter(self, toks, last_r, last_w) -> None:
         """Load filter state captured by :meth:`_filter_state` into
         whichever filter implementation this session runs."""
-        if self._vec_filter is not None:
-            self._vec_filter.seed_state(toks, last_r, last_w)
-        else:
-            self._toks.update(toks)
-            self._last_r.update(last_r)
-            self._last_w.update(last_w)
+        if self._filter is not None:
+            self._filter.seed_state(toks, last_r, last_w)
 
     def save_checkpoint(self, fp) -> None:
         """Serialize the session's full resumable state to the binary
@@ -766,16 +755,16 @@ class EngineSession:
 class MultiRunner:
     """Drive N analyses over one iteration of an event stream.
 
-    The engine works in *chunks*: it drains a bounded batch of events
-    from the source into four flat preallocated int arrays (kind, tid,
-    target, site — decoded exactly once per event) and then replays the
-    batch through each analysis' precompiled dispatch table in turn.
-    Chunked replay keeps each analysis' handler code and metadata hot in
-    caches, costs one decode per event instead of one per (event,
-    analysis) pair, and is the natural substrate for sharding batches
-    across workers later.  The source itself is still iterated exactly
-    once and never rewound, so memory stays bounded by the chunk size
-    plus analysis metadata.
+    The engine works in *chunks*: it reads a bounded batch of events
+    from the source as four columns (kind, tid, target, site — decoded
+    exactly once per event, straight into int64 arrays by the numpy
+    binary decoder), drops same-epoch repeats with one filter over the
+    columns, and replays the kept events through each analysis' batch
+    kernel or precompiled dispatch table in turn.  Chunked replay keeps
+    each analysis' handler code and metadata hot in caches and costs one
+    decode per event instead of one per (event, analysis) pair.  The
+    source itself is still read exactly once and never rewound, so
+    memory stays bounded by the chunk size plus analysis metadata.
 
     Every analysis owns its clocks, and each replays a chunk through one
     of two paths: its batch kernel (:meth:`Analysis.make_kernel`) or
@@ -795,8 +784,8 @@ class MultiRunner:
         Optional callback invoked as ``progress(events_seen)`` after each
         chunk (shared across all analyses).
     chunk_events:
-        Batch size; the engine's extra memory is four int slots per
-        chunk position.
+        Batch size in source events; the engine's extra memory is a few
+        columns of this length.
     share_hb:
         Accepted for compatibility and ignored: analyses no longer
         share clocks, so ``True`` and ``False`` give the same pass.
@@ -891,8 +880,8 @@ class MultiRunner:
 
         ``indices`` holds each record's global event index (records are
         not contiguous when the shared same-epoch filter dropped events);
-        the islice bounds the zip to the ``n`` live slots of the
-        preallocated buffers.
+        the islice bounds the zip to the ``n`` kept slots (the filter
+        compacts list columns in place).
         """
         table = entry.analysis.dispatch_table()
         sample_every = self.sample_every

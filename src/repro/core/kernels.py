@@ -1,16 +1,17 @@
 """Columnar batch kernels for the engine's replay hot path (DESIGN.md §8).
 
-The engine decodes each chunk into five flat int columns (index, kind,
-tid, target, site).  Replay then dispatches per event in pure Python —
+The engine reads each chunk as int columns (index, kind, tid, target,
+site).  Replay then dispatches per event in pure Python —
 ~µs of interpreter work per event even when the event lands on a
 [Same Epoch] fast path that is semantically one integer compare.  This
 module vectorizes exactly those provably-cheap decisions over a whole
 chunk at once with numpy, and falls back to the per-event handlers for
 everything else:
 
-* :class:`VecSameEpochFilter` — the decode-time shared same-epoch filter
-  (same drop rule as the scalar loop in :meth:`EngineSession.feed`,
-  replayed chunk-at-a-time with sort/cumsum group machinery).
+* :class:`VecSameEpochFilter` — the engine's shared same-epoch filter
+  over a chunk's columns, chunk-at-a-time with sort/cumsum group
+  machinery; :class:`SameEpochFilter` is its pure-Python twin (same
+  drop rule, same token state).
 * :class:`HbEpochKernel` / :class:`StKernel` — per-analysis chunk
   kernels for the epoch tiers (FT2, FTO-HB, SmartTrack-*).  Each chunk
   they (1) reconstruct every event's *exact* packed epoch from the
@@ -43,15 +44,17 @@ Correctness of the chunk-at-once classification rests on two facts:
   Same-thread chains — the common shape in bursty traces — never
   break on snapshot staleness, because an own epoch compares by tid.
 
-Everything is gated on :func:`kernels_available`: numpy importable and
-``REPRO_NO_NUMPY`` unset.  Without numpy the engine keeps its pure-Python
-scalar paths — same reports, bit for bit (the fuzz sweep asserts this).
+Everything numpy is gated on :func:`kernels_available`: numpy importable
+and ``REPRO_NO_NUMPY`` unset.  Without numpy the engine keeps its
+pure-Python scalar paths — same reports, bit for bit (the fuzz sweep
+asserts this).
 """
 
 from __future__ import annotations
 
 import os
 from bisect import bisect_right
+from itertools import islice
 from typing import List, Sequence, Tuple
 
 from repro.clocks.epoch import META_VC, TID_BITS, TID_MASK
@@ -93,7 +96,8 @@ def make_kernel(analysis):
 
 
 def make_filter(width: int, epoch_enders: Sequence[bool]):
-    """Build the vectorized same-epoch filter, or None when unavailable.
+    """Build the vectorized same-epoch filter, or None when unavailable
+    (:class:`SameEpochFilter` is the pure-Python twin).
 
     ``epoch_enders`` is the engine's by-kind epoch-ender table (the union
     of every tier's bump sites).
@@ -134,13 +138,15 @@ def _counts_before(group, flags, order=None):
 class ChunkPlan:
     """One decoded chunk, shared across every kernel in the pass.
 
-    Holds references to the engine's five Python list buffers (the walk
+    Holds references to the engine's five Python list columns (the walk
     reads event operands from them, so plain ints — never numpy scalars —
-    reach the handlers and the race records) plus int64 views of the
-    kind/tid/target columns.  Per-chunk derived data that does not depend
-    on analysis state — the per-position bump counts for each distinct
-    ``BUMP_KINDS`` signature and the per-target grouping — is computed
-    once and cached, so N kernels over the same chunk share it.
+    reach the handlers and the race records) plus int64 arrays of the
+    kind/tid/target columns: ``arrays`` when the caller already has them
+    (the engine's numpy column path), else converted from the lists.
+    Per-chunk derived data that does not depend on analysis state — the
+    per-position bump counts for each distinct ``BUMP_KINDS`` signature
+    and the per-target grouping — is computed once and cached, so N
+    kernels over the same chunk share it.
     """
 
     __slots__ = ("indices", "kinds", "tids", "targets", "sites", "n",
@@ -148,16 +154,19 @@ class ChunkPlan:
                  "_bumps", "_part", "_sctx", "_scols", "_tid_range",
                  "_tvorder", "_maxx", "memo")
 
-    def __init__(self, indices, kinds, tids, targets, sites, n: int):
+    def __init__(self, indices, kinds, tids, targets, sites, n: int,
+                 arrays=None):
         self.indices = indices
         self.kinds = kinds
         self.tids = tids
         self.targets = targets
         self.sites = sites
         self.n = n
-        self.kv = np.fromiter(kinds, np.int64, count=n)
-        self.tv = np.fromiter(tids, np.int64, count=n)
-        self.xv = np.fromiter(targets, np.int64, count=n)
+        if arrays is None:
+            arrays = (np.fromiter(kinds, np.int64, count=n),
+                      np.fromiter(tids, np.int64, count=n),
+                      np.fromiter(targets, np.int64, count=n))
+        self.kv, self.tv, self.xv = arrays
         self.is_rd = self.kv == 0
         self.is_wr = self.kv == 1
         self.is_acc = self.kv <= 1
@@ -586,18 +595,85 @@ WALK_CODES = frozenset({
 })
 
 
-# -- decode-time same-epoch filter -------------------------------------------
+# -- shared same-epoch filter -----------------------------------------------
+
+class SameEpochFilter:
+    """The engine's shared same-epoch filter, in pure Python.
+
+    An access is dropped when a repeat of the same (thread, kind,
+    variable) with no intervening epoch-ending event by that thread —
+    and, for a read, no intervening *kept* write to the variable — makes
+    it a [Same Epoch] no-op in every analysis (DESIGN.md §3.1).  Tokens
+    are ``bumps << TID_BITS | tid``, unique per thread: ``toks`` maps a
+    thread to its token once it has one (a missing thread's token is its
+    tid), and ``last_r``/``last_w`` map a variable to the token of its
+    last kept reader/writer.  :class:`VecSameEpochFilter` keeps the same
+    state, so :meth:`export_state` of either seeds the other.
+    """
+
+    def __init__(self, epoch_enders: Sequence[bool]):
+        self._enders = tuple(epoch_enders) + (False,) * (
+            16 - len(epoch_enders))
+        self._toks = {}
+        self._last_r = {}
+        self._last_w = {}
+
+    def export_state(self):
+        """The cross-chunk state as three plain dicts (``toks``,
+        ``last_r``, ``last_w``) — the checkpoint's filter payload."""
+        return dict(self._toks), dict(self._last_r), dict(self._last_w)
+
+    def seed_state(self, toks, last_r, last_w) -> None:
+        """Load state captured by :meth:`export_state` of either filter."""
+        self._toks.update(toks)
+        self._last_r.update(last_r)
+        self._last_w.update(last_w)
+
+    def apply(self, indices, kinds, tids, targets, sites, n: int) -> int:
+        """Filter one chunk of Python list columns in place; returns the
+        kept length (kept events are compacted to the front, in
+        order)."""
+        enders = self._enders
+        toks = self._toks
+        last_r = self._last_r
+        last_w = self._last_w
+        toks_get = toks.get
+        last_r_get = last_r.get
+        last_w_get = last_w.get
+        step = 1 << TID_BITS
+        m = 0
+        for j, k, t, x, s in zip(islice(indices, n), kinds, tids, targets,
+                                 sites):
+            if k <= 1:
+                tok = toks_get(t, t)
+                if k == 0:
+                    if last_r_get(x) == tok:
+                        continue
+                    last_r[x] = tok
+                else:
+                    if last_w_get(x) == tok:
+                        continue
+                    last_w[x] = tok
+                    # a kept write ends every reader's same-epoch run
+                    if x in last_r:
+                        del last_r[x]
+            elif enders[k]:
+                toks[t] = toks_get(t, t) + step
+            indices[m] = j
+            kinds[m] = k
+            tids[m] = t
+            targets[m] = x
+            sites[m] = s
+            m += 1
+        return m
+
 
 class VecSameEpochFilter:
-    """Vectorized twin of the engine's scalar same-epoch decode filter.
+    """Vectorized twin of :class:`SameEpochFilter`.
 
-    Same observable behavior, chunk-at-a-time: an access is dropped when
-    a repeat of the same (thread, kind, variable) with no intervening
-    epoch-ending event by that thread — and, for reads, no intervening
-    *kept* write to the variable — makes it a [Same Epoch] no-op in every
-    analysis.  Tokens are ``bumps << TID_BITS | tid`` (unique per thread)
-    carried across chunks in ``_base``; per-variable last-reader /
-    last-writer tokens are carried in grow-on-demand int64 arrays
+    Same drop rule and token scheme, chunk-at-a-time: the per-thread
+    token bases are carried across chunks in ``_base``, and per-variable
+    last-reader / last-writer tokens in grow-on-demand int64 arrays
     (−1 = absent, matching the scalar dicts' missing keys).
 
     Two passes over one chunk, both via stable per-variable grouping:
@@ -605,7 +681,7 @@ class VecSameEpochFilter:
     write's token for that variable), then reads against the merged
     stream of reads and *kept* writes (a read is dropped iff its nearest
     predecessor is a same-token read; a kept write in between clears the
-    run, and a dropped write — like the scalar loop — does not).
+    run, and a dropped write — like the scalar filter — does not).
     """
 
     def __init__(self, width: int, epoch_enders: Sequence[bool]):
@@ -629,9 +705,9 @@ class VecSameEpochFilter:
 
     def export_state(self):
         """The filter's cross-chunk state as three plain dicts — the
-        exact representation the engine's scalar filter keeps — so a
-        checkpoint (:mod:`repro.checkpoint`) is numpy-free and restores
-        into either filter implementation."""
+        representation :class:`SameEpochFilter` keeps — so a checkpoint
+        (:mod:`repro.checkpoint`) is numpy-free and restores into either
+        filter implementation."""
         toks = {t: int(v) for t, v in enumerate(self._base) if v != t}
         last_r = {x: int(v) for x, v in enumerate(self._last_r) if v != -1}
         last_w = {x: int(v) for x, v in enumerate(self._last_w) if v != -1}
@@ -650,22 +726,18 @@ class VecSameEpochFilter:
         for x, v in last_w.items():
             self._last_w[x] = v
 
-    def apply(self, indices, kinds, tids, targets, sites, n: int) -> int:
-        """Filter one decoded chunk in place; returns the kept length.
-
-        The five buffers are the engine's Python list columns; kept
-        events are compacted to the front (order preserved).
-        """
+    def keep(self, kv, tv, xv):
+        """Filter one chunk of int64 kind/tid/target columns; returns
+        the kept positions as an int64 array, or None when every event
+        is kept."""
+        n = len(kv)
         if not n:
-            return 0
-        kv = np.fromiter(kinds, np.int64, count=n)
-        tv = np.fromiter(tids, np.int64, count=n)
-        if len(tv) and (int(tv.min()) < 0 or int(tv.max()) >= self.width):
+            return None
+        if int(tv.min()) < 0 or int(tv.max()) >= self.width:
             # out-of-range tid (malformed feed): keep everything and let
             # the analyses surface the error per entry, as the scalar
             # replay path would
-            return n
-        xv = np.fromiter(targets, np.int64, count=n)
+            return None
         is_rd = kv == 0
         is_wr = kv == 1
         ender = self._ender_lut[kv]
@@ -727,10 +799,22 @@ class VecSameEpochFilter:
         if ender.any():
             np.add.at(self._base, tv[ender], 1 << TID_BITS)
         if not drop.any():
+            return None
+        return np.flatnonzero(~drop)
+
+    def apply(self, indices, kinds, tids, targets, sites, n: int) -> int:
+        """Filter one chunk of Python list columns in place; returns the
+        kept length (kept events are compacted to the front, in
+        order) — the list form of :meth:`keep`."""
+        if not n:
+            return 0
+        keep = self.keep(np.fromiter(kinds, np.int64, count=n),
+                         np.fromiter(tids, np.int64, count=n),
+                         np.fromiter(targets, np.int64, count=n))
+        if keep is None:
             return n
-        keep = np.flatnonzero(~drop).tolist()
-        m = int(np.argmax(drop))  # first dropped position: prefix is in place
-        for p in keep[m:]:
+        m = 0
+        for p in keep.tolist():
             indices[m] = indices[p]
             kinds[m] = kinds[p]
             tids[m] = tids[p]

@@ -10,11 +10,13 @@ worker processes instead of sharding the event stream across them
 (chunk-parallel sharding would need cross-chunk vector-clock handoff;
 see DESIGN.md §6.1):
 
-* **one decode** — the parent iterates the event source exactly once,
-  decoding each event into the engine's flat int chunk representation
-  (five parallel ``int64`` arrays: index, kind, tid, target, site) and
-  applying the shared same-epoch filter once for everybody, exactly as
-  a serial :class:`~repro.core.engine.EngineSession` would;
+* **one decode** — the parent reads the event source exactly once
+  through the serial engine's column path
+  (:func:`~repro.core.engine.read_chunk` then
+  :func:`~repro.core.engine.filter_chunk`: the same read, the same
+  shared same-epoch filter) into five kept columns (index, kind, tid,
+  target, site), exactly as a serial
+  :class:`~repro.core.engine.EngineSession` would;
 * **shared-memory broadcast** — each decoded chunk is copied into a
   per-worker single-producer/single-consumer ring buffer in
   :mod:`multiprocessing.shared_memory` (semaphore flow control, no
@@ -55,12 +57,20 @@ import signal
 import threading
 import traceback
 from array import array
+from itertools import islice
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
 from repro.clocks.epoch import MAX_TID, TID_BITS
-from repro.core.engine import _EPOCH_ENDERS, AnalysisFailure, MultiResult
+from repro.core.engine import (
+    _EPOCH_ENDERS,
+    AnalysisFailure,
+    MultiResult,
+    filter_chunk,
+    read_chunk,
+)
 from repro.core.registry import ANALYSIS_NAMES, create
 from repro.trace.event import Event
+from repro.trace.stream import column_source
 from repro.trace.trace import Trace, TraceInfo
 
 #: Ring slots per worker: enough to pipeline parent decode against
@@ -429,11 +439,18 @@ class ParallelSession:
         self._finished = False
         self._collected = False
         chunk = runner.chunk_events
-        self._bufs = tuple(array("q", bytes(8 * chunk)) for _ in range(5))
-        # shared same-epoch filter state (see EngineSession.feed)
-        self._toks: Dict[int, int] = {}
-        self._last_r: Dict[int, int] = {}
-        self._last_w: Dict[int, int] = {}
+        #: the last chunk's kept columns, as broadcast to the rings
+        self._bufs = tuple(array("q") for _ in range(5))
+        # the shared same-epoch filter, run once for every worker (see
+        # EngineSession): vectorized when numpy is available
+        from repro.core import kernels
+
+        self._vector = kernels.kernels_available()
+        self._filter = None
+        if runner._filter_on:
+            self._filter = ((self._vector and kernels.make_filter(
+                max(runner.info.num_threads, 1), _EPOCH_ENDERS))
+                or kernels.SameEpochFilter(_EPOCH_ENDERS))
         # bounded-window mode: the workers evict; the parent only clamps
         # its broadcast chunks at window boundaries (serial == parallel)
         self._window = runner.window_events
@@ -491,77 +508,25 @@ class ParallelSession:
         return self._i + 1
 
     # -- decode (parent side) ---------------------------------------------
-    def _fill_chunk(self, source: Iterator[Event], limit: int):
-        """Decode up to ``limit`` events into the flat column buffers.
+    def _fill_chunk(self, source, limit: int):
+        """Read up to ``limit`` source events and filter them into the
+        broadcast columns — the serial engine's column path
+        (:func:`~repro.core.engine.read_chunk`,
+        :func:`~repro.core.engine.filter_chunk`).
 
-        Same decode-plus-shared-same-epoch-filter loop as
-        :meth:`EngineSession.feed`, writing int64 array columns instead
-        of lists so a chunk can be memcpy'd into the worker rings.
-        Returns ``(n, exhausted, source_error)`` — on a source error the
-        events decoded so far are kept (the caller flushes them to the
-        workers before re-raising, mirroring the serial session).
+        Returns ``(kept, exhausted, source_error)`` — on a source error
+        the events read before it are kept (the caller flushes them to
+        the workers before re-raising, mirroring the serial session).
         """
-        i = self._i
-        n = 0
-        exhausted = False
-        err: Optional[BaseException] = None
-        idx_b, kind_b, tid_b, tgt_b, site_b = self._bufs
-        toks = self._toks
-        last_r = self._last_r
-        last_w = self._last_w
-        toks_get = toks.get
-        last_r_get = last_r.get
-        last_w_get = last_w.get
-        epoch_enders = _EPOCH_ENDERS
-        try:
-            if self._runner._filter_on:
-                for e in source:
-                    i += 1
-                    k = e.kind
-                    t = e.tid
-                    x = e.target
-                    if k <= 1:  # READ/WRITE: shared same-epoch filter
-                        tok = toks_get(t, t)
-                        if k == 0:
-                            if last_r_get(x) == tok:
-                                continue  # no-op in every analysis
-                            last_r[x] = tok
-                        else:
-                            if last_w_get(x) == tok:
-                                continue  # no-op in every analysis
-                            last_w[x] = tok
-                            if x in last_r:
-                                del last_r[x]
-                    elif epoch_enders[k]:
-                        toks[t] = toks_get(t, t) + (1 << TID_BITS)
-                    idx_b[n] = i
-                    kind_b[n] = k
-                    tid_b[n] = t
-                    tgt_b[n] = x
-                    site_b[n] = e.site
-                    n += 1
-                    if n == limit:
-                        break
-                else:
-                    exhausted = True
-            else:
-                for e in source:
-                    i += 1
-                    idx_b[n] = i
-                    kind_b[n] = e.kind
-                    tid_b[n] = e.tid
-                    targ = e.target
-                    tgt_b[n] = targ
-                    site_b[n] = e.site
-                    n += 1
-                    if n == limit:
-                        break
-                else:
-                    exhausted = True
-        except BaseException as exc:
-            err = exc
-        self._i = i
-        return n, exhausted, err
+        cols, n, err, exhausted = read_chunk(source, limit)
+        if not n:
+            return 0, True, err
+        indices, kinds, tids, targets, sites, m, _ = filter_chunk(
+            cols, n, self._i + 1, self._filter, self._vector)
+        self._bufs = tuple(array("q", islice(col, m)) for col in
+                           (indices, kinds, tids, targets, sites))
+        self._i += n
+        return m, exhausted, err
 
     # -- worker I/O --------------------------------------------------------
     def _live_shards(self) -> List[_Shard]:
@@ -669,8 +634,7 @@ class ParallelSession:
         """
         if self._finished:
             raise RuntimeError("parallel session is finished")
-        source = iter(events.events if isinstance(events, Trace)
-                      else events)
+        source = column_source(events)
         limit = min(window, self._runner.chunk_events) if window > 0 \
             else self._runner.chunk_events
         pending: List[tuple] = []

@@ -34,6 +34,7 @@ from collections import deque
 from typing import Iterator, Optional
 
 from repro.core.registry import create
+from repro.trace.stream import column_source
 from repro.trace.trace import TraceInfo
 
 __all__ = [
@@ -61,6 +62,23 @@ FAILED = "failed"
 #: the child a held lock it can never acquire.  Serializing engine
 #: construction closes that window (feeding never forks).
 _ENGINE_BUILD_LOCK = threading.Lock()
+
+
+class _Liveness:
+    """A column source that stamps its tenant's liveness once per
+    column read (one per engine window or less, never per event), so
+    the metrics advance even when no races are found."""
+
+    __slots__ = ("_source", "_tenant")
+
+    def __init__(self, source, tenant: "TenantSession"):
+        self._source = source
+        self._tenant = tenant
+
+    def read_columns(self, limit: int):
+        cols = self._source.read_columns(limit)
+        self._tenant.last_active = time.monotonic()
+        return cols
 
 
 class TenantSession:
@@ -185,11 +203,11 @@ class TenantSession:
         this thread's exclusive claim, so no lock is held while feeding.
         """
         window = max(self.config.window, 1)
+        source = _Liveness(column_source(source), self)
         if self.config.workers > 1:
-            races = self.session.drain(self._ticking(source),
-                                       window=window, seal=False)
+            races = self.session.drain(source, window=window, seal=False)
         else:
-            races = self.session.drain(self._ticking(source), window=window)
+            races = self.session.drain(source, window=window)
         for pair in races:
             self.races_total += 1
             race = pair[1]
@@ -198,16 +216,6 @@ class TenantSession:
                  "var": race.var, "site": race.site, "access": race.access,
                  "kinds": race.kinds})
             yield pair
-
-    def _ticking(self, source):
-        """Wrap the event source so liveness metrics advance even when
-        no races are found (every 256 events, not per event)."""
-        k = 0
-        for event in source:
-            k += 1
-            if not (k & 0xFF):
-                self.last_active = time.monotonic()
-            yield event
 
     # -- detachment and sealing --------------------------------------------
     def detach(self, error: Optional[BaseException] = None,

@@ -159,12 +159,18 @@ def dump_trace(trace: Trace, fp, binary: Optional[bool] = None) -> None:
         fp.write(format_event(e) + "\n")
 
 
+#: Ids and sites must fit a signed 64-bit column (the engine's chunks).
+_ID_LIMIT = 1 << 63
+
+
 def _parse_id(token: str, lineno: int) -> int:
     digits = token.lstrip("Tmxvk")
-    if not digits.isdigit():
-        raise TraceFormatError(
-            "line {}: bad id {!r}".format(lineno, token), lineno)
-    return int(digits)
+    if digits.isdigit():
+        value = int(digits)
+        if value < _ID_LIMIT:
+            return value
+    raise TraceFormatError(
+        "line {}: bad id {!r}".format(lineno, token), lineno)
 
 
 def parse_event_line(line: str, lineno: int) -> Optional[Event]:
@@ -192,7 +198,10 @@ def parse_event_line(line: str, lineno: int) -> Optional[Event]:
                     lineno, parts[3]), lineno)
         try:
             site = int(parts[3][1:])
+            ok = -_ID_LIMIT <= site < _ID_LIMIT
         except ValueError:
+            ok = False
+        if not ok:
             raise TraceFormatError(
                 "line {}: bad site {!r}".format(lineno, parts[3]), lineno)
     return Event(tid, kind, target, site)
@@ -245,30 +254,24 @@ class TraceStream(TraceStreamBase):
 
     def _events(self) -> Iterator[Event]:
         lineno = 0
+        if self._pending is not None:
+            lineno = 1
+            event = parse_event_line(self._pending, lineno)
+            self._pending = None
+            if event is not None:
+                yield event
+        elif self.info is not None:
+            lineno = 1  # the header line
         try:
-            if self._pending is not None:
-                lineno = 1
-                event = parse_event_line(self._pending, lineno)
-                self._pending = None
+            for line in self._fp:
+                lineno += 1
+                event = parse_event_line(line, lineno)
                 if event is not None:
-                    self.events_read += 1
                     yield event
-            elif self.info is not None:
-                lineno = 1  # the header line
-            try:
-                for line in self._fp:
-                    lineno += 1
-                    event = parse_event_line(line, lineno)
-                    if event is not None:
-                        self.events_read += 1
-                        yield event
-            except UnicodeDecodeError as exc:
-                raise TraceFormatError(
-                    "line {}: trace is not valid text ({})".format(
-                        lineno + 1, exc), lineno + 1)
-        finally:
-            if self._owns_fp:
-                self._fp.close()
+        except UnicodeDecodeError as exc:
+            raise TraceFormatError(
+                "line {}: trace is not valid text ({})".format(
+                    lineno + 1, exc), lineno + 1)
 
 
 class _PrefixedReader(io.RawIOBase):

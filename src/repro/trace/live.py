@@ -58,7 +58,7 @@ from itertools import islice
 from typing import Iterator, Optional, Tuple, Union
 
 from repro.trace.event import Event
-from repro.trace.stream import TraceFormatError, TraceStreamBase
+from repro.trace.stream import Columns, TraceFormatError, TraceStreamBase
 from repro.trace.trace import Trace, TraceInfo
 
 __all__ = [
@@ -160,7 +160,8 @@ def _open_fifo_nonblocking(path: str):
 
 class LiveTraceSource(TraceStreamBase):
     """Common live-source behaviour: wrap a raw byte feed, autodetect
-    the wire format, and mirror the inner reader's event stream.
+    the wire format, and delegate event and column reads to the inner
+    format reader.
 
     ``raw`` must be an *unbuffered* binary reader (partial reads are how
     liveness is preserved — see the module docstring); the source owns
@@ -180,9 +181,10 @@ class LiveTraceSource(TraceStreamBase):
         self.info = self._inner.info
 
     def _events(self) -> Iterator[Event]:
-        for event in self._inner:
-            self.events_read += 1
-            yield event
+        return iter(self._inner)
+
+    def _read_block(self, limit: int) -> Columns:
+        return self._inner.read_columns(limit)
 
 
 class PipeTraceSource(LiveTraceSource):

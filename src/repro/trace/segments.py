@@ -49,10 +49,9 @@ Staleness rules (:func:`match_events`):
 from __future__ import annotations
 
 import hashlib
-import os
 from typing import List, Optional, Tuple, Union
 
-from repro.trace.binfmt import MAGIC
+from repro.trace.binfmt import MAGIC, _numpy
 from repro.trace.stream import TraceFormatError
 
 __all__ = [
@@ -157,18 +156,6 @@ def match_events(old: TraceSegments, new: TraceSegments) -> int:
             break
         matched += 1
     return matched * old.segment_events
-
-
-def _numpy():
-    """The gated numpy import shared with :mod:`repro.core.kernels` —
-    honoring ``REPRO_NO_NUMPY`` keeps the fallback scanner testable."""
-    if os.environ.get("REPRO_NO_NUMPY"):
-        return None
-    try:
-        import numpy
-    except ImportError:
-        return None
-    return numpy
 
 
 def _read_varint(data: bytes, pos: int, what: str) -> Tuple[int, int]:

@@ -17,6 +17,7 @@ from repro.trace import (
     BinaryTraceWriter,
     Trace,
     TraceFormatError,
+    TraceInfo,
     TraceStream,
     dump_trace,
     dumps_trace,
@@ -278,6 +279,67 @@ class TestErrors:
         with pytest.raises(TraceFormatError, match="oversized varint"):
             list(stream)
 
+    @staticmethod
+    def _with_event(target_bytes):
+        """figure 1's binary trace plus one read whose target varint is
+        ``target_bytes`` (event count unknown, so the reader reaches
+        it), and the number of good events in front of it."""
+        trace = figure1()
+        buf = io.BytesIO()
+        hint = TraceInfo(trace.num_threads, trace.num_locks,
+                         trace.num_vars, 0, 0, 0)
+        with BinaryTraceWriter(buf, hint) as writer:
+            for event in trace.events:
+                writer.write(event)
+        return buf.getvalue() + b"\x00" + target_bytes + b"\x00", \
+            len(trace.events)
+
+    @staticmethod
+    def _events_then_error(blob):
+        got = []
+        with pytest.raises(TraceFormatError) as exc:
+            for event in stream_trace(io.BytesIO(blob)):
+                got.append(event)
+        return got, str(exc.value)
+
+    def test_varint_over_ten_bytes_in_event(self):
+        # 11 bytes: ten continuation bytes, then a terminator
+        blob, good = self._with_event(b"\x81" * 10 + b"\x00")
+        got, msg = self._events_then_error(blob)
+        assert msg == "oversized varint at event {}".format(good)
+        assert _same_events(got, figure1().events)
+
+    def test_event_varint_of_2_63_or_more(self):
+        # 2**63 needs ten bytes whose last carries bit 63; 2**80 eleven
+        for value in (1 << 63, 1 << 80):
+            data = bytearray()
+            while value > 0x7F:
+                data.append((value & 0x7F) | 0x80)
+                value >>= 7
+            data.append(value)
+            blob, good = self._with_event(bytes(data))
+            got, msg = self._events_then_error(blob)
+            assert msg == "oversized varint at event {}".format(good)
+            assert len(got) == good
+
+    def test_ten_byte_varint_below_2_63_is_valid(self):
+        # a non-minimal ten-byte encoding of a small value still fits
+        blob, good = self._with_event(b"\x85" + b"\x80" * 8 + b"\x00")
+        events = list(stream_trace(io.BytesIO(blob)))
+        assert len(events) == good + 1 and events[-1].target == 5
+
+    def test_text_id_of_2_63_or_more_is_bad_id(self):
+        for token in ("x{}".format(1 << 63), "x{}".format(1 << 80)):
+            text = ("# repro trace v1: threads=1 locks=0 vars=1\n"
+                    "T0 rd x0\nT0 wr {}\n".format(token))
+            stream = stream_trace(io.StringIO(text))
+            got = []
+            with pytest.raises(TraceFormatError, match="bad id") as exc:
+                for event in stream:
+                    got.append(event)
+            assert exc.value.lineno == 3
+            assert "line 3" in str(exc.value) and len(got) == 1
+
     def test_undecodable_bytes_mid_file(self):
         # enough valid lines that the bad bytes land beyond the text
         # wrapper's first decoded chunk: the error surfaces mid-iteration
@@ -332,6 +394,44 @@ class TestDeclaredCount:
         finally:
             os.close(w)
 
+    def test_engine_stops_without_eof_on_live_pipe(self):
+        # engine twin: column reads stop at the declared count too, and
+        # max_events consumes exactly that many events of a live pipe
+        import os
+        import threading
+
+        from tests.test_live import event_rows, recording_session
+
+        trace = figure1()
+        r, w = os.pipe()
+        os.write(w, dumps_trace_binary(trace))
+        state = {}
+
+        def run():
+            with open(r, "rb", buffering=0) as fp:
+                stream = stream_trace(fp)
+                recorder, session = recording_session(stream.require_info())
+                session.feed(stream, max_events=3)
+                state["acked_at_3"] = session.events_acked
+                state["seen_at_3"] = list(recorder.seen)
+                session.feed(stream)
+                state["acked"] = session.events_acked
+                state["seen"] = recorder.seen
+                state["processed"] = session.finish().events_processed
+
+        reader = threading.Thread(target=run, daemon=True)
+        reader.start()
+        reader.join(10)  # the write end is still open: EOF never comes
+        try:
+            assert not reader.is_alive(), \
+                "engine blocked waiting for EOF past the declared count"
+            assert state["acked_at_3"] == 3
+            assert state["seen_at_3"] == event_rows(trace.events[:3])
+            assert state["acked"] == state["processed"] == len(trace)
+            assert state["seen"] == event_rows(trace.events)
+        finally:
+            os.close(w)
+
     def test_zero_declared_count_reads_to_eof(self):
         # events=0 means unknown (a streaming writer's hint); those
         # headers keep reading until the input ends
@@ -358,6 +458,22 @@ class TestEngineAndHarness:
         assert result.ok
         assert result.report("st-wdc").dynamic_count == 1
         assert result.report("fto-hb").dynamic_count == 0
+
+    def test_column_path_races_hold_plain_ints(self, tmp_path):
+        # the numpy decoder's int64 columns must never leak numpy
+        # scalars into race records (kernel and scalar tiers alike)
+        from repro.core.engine import run_stream
+        trace = generate_trace(WorkloadSpec(
+            name="ints", threads=4, events=3000, predictive_races=2,
+            hb_races=2, seed=4))
+        path = tmp_path / "ints.trace"
+        path.write_bytes(dumps_trace_binary(trace))
+        result = run_stream(str(path), ["st-wdc", "fto-hb", "unopt-hb"])
+        races = [r for e in result.entries for r in e.report.races]
+        assert races
+        for race in races:
+            assert all(type(v) is int for v in
+                       (race.index, race.site, race.var, race.tid)), race
 
     def test_measure_stream_on_binary(self, tmp_path):
         from repro.harness.measure import measure_stream

@@ -137,6 +137,41 @@ class TestStreamFlag:
             assert "line 3" in err, argv
 
 
+@pytest.mark.parametrize("numpy_off", [False, True],
+                         ids=["numpy", "no-numpy"])
+@pytest.mark.parametrize("stream", [False, True],
+                         ids=["in-memory", "stream"])
+@pytest.mark.parametrize("binary", [False, True], ids=["text", "binary"])
+def test_id_over_64_bits_exits_2(tmp_path, capsys, monkeypatch, numpy_off,
+                                 stream, binary):
+    """An id of 2**80 is a malformed trace (exit 2), never a crash that
+    exits 1 (the "races found" code) — on every decode path."""
+    if numpy_off:
+        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
+    else:
+        monkeypatch.delenv("REPRO_NO_NUMPY", raising=False)
+    path = tmp_path / "wide.trace"
+    if binary:
+        from repro.trace import BinaryTraceWriter, TraceInfo
+        from repro.trace.event import Event, WRITE
+
+        trace = figure1()
+        dims = TraceInfo(trace.num_threads, trace.num_locks, trace.num_vars,
+                         0, 0, len(trace) + 1)
+        with BinaryTraceWriter(str(path), dims) as writer:
+            for event in trace.events + [Event(0, WRITE, 1 << 80, 1)]:
+                writer.write(event)
+    else:
+        path.write_text("# repro trace v1: threads=2 locks=1 vars=2\n"
+                        "T0 rd x0\nT1 wr x{}\n".format(1 << 80))
+    argv = ["analyze", str(path)] + (["--stream"] if stream else [])
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert ("line 3" in err) if not binary else \
+        ("oversized varint at event {}".format(len(figure1())) in err)
+
+
 class TestExitCodeContract:
     def test_failure_beats_races(self, monkeypatch, capsys):
         # regression: `exit_code |= _print_report(...)` used to combine

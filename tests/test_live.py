@@ -22,6 +22,7 @@ import time
 
 import pytest
 
+from repro.core.base import HANDLER_NAMES, Analysis
 from repro.core.engine import MultiRunner
 from repro.core.registry import create
 from repro.trace import Trace, TraceFormatError, dumps_trace, dumps_trace_binary
@@ -43,6 +44,36 @@ from repro.workloads import figure1
 def _same_events(a, b):
     return [(e.tid, e.kind, e.target, e.site) for e in a] == \
         [(e.tid, e.kind, e.target, e.site) for e in b]
+
+
+class RecordingAnalysis(Analysis):
+    """Records every event the engine replays to it, in order, as
+    ``(tid, kind, target, site)``.  It declares no [Same Epoch] fast
+    path, so the engine's filter stays off and every event arrives."""
+
+    name = "recording"
+
+    def __init__(self, info):
+        super().__init__(info)
+        self.seen = []
+
+    def dispatch_table(self):
+        seen = self.seen
+
+        def handler(kind):
+            return lambda t, x, i, site: seen.append((t, kind, x, site))
+
+        return tuple(handler(kind) for kind in range(len(HANDLER_NAMES)))
+
+
+def recording_session(info):
+    """An engine session over one :class:`RecordingAnalysis`."""
+    recorder = RecordingAnalysis(info)
+    return recorder, MultiRunner([recorder]).session()
+
+
+def event_rows(events):
+    return [(e.tid, e.kind, e.target, e.site) for e in events]
 
 
 def _spawn_raw_client(addr, chunks, delay=0.0, hold_open=0.0):
@@ -197,6 +228,29 @@ class TestSocketSource:
         client.join()
         # both fully-delivered events came through before the stall hit
         assert _same_events(received, trace.events[:2])
+
+    def test_trickle_feed_reaches_engine_before_stall(self, tmp_path):
+        # engine twin of the trickle test: the column path replays the
+        # buffered events before the stall's TimeoutError propagates,
+        # and max_events stops the installment at exactly that many
+        trace = figure1()
+        blob = dumps_trace_binary(trace)
+        split = len(MAGIC) + 6 + 7  # header (6 one-byte dims) + 2 events
+        addr = str(tmp_path / "trickle_engine.sock")
+        listener = TraceListener(addr)
+        client = _spawn_raw_client(addr, [blob[:split]], hold_open=3.0)
+        source = listener.accept(timeout=0.5)
+        recorder, session = recording_session(source.require_info())
+        session.feed(source, max_events=1)
+        assert session.events_acked == 1
+        assert recorder.seen == event_rows(trace.events[:1])
+        with pytest.raises(TimeoutError):
+            session.feed(source, max_events=5)
+        assert session.events_acked == 2
+        assert recorder.seen == event_rows(trace.events[:2])
+        assert session.finish().events_processed == 2
+        client.join()
+        _assert_source_closed(source)
 
     def test_reconnect_refused_after_accept(self, tmp_path):
         addr = str(tmp_path / "one.sock")
@@ -382,6 +436,29 @@ class TestSocketAdversarial:
         source = listener.accept(timeout=10)
         with pytest.raises(TraceFormatError, match="truncated mid-event"):
             list(source)
+        client.join()
+        _assert_source_closed(source)
+
+    def test_truncated_varint_reaches_engine_first(self, tmp_path):
+        # engine twin: the whole first event reaches the analyses, then
+        # the truncation error propagates with events_acked exact
+        wide = Trace([Event(0, WRITE, 1 << 20, 1 << 30),
+                      Event(1, READ, 1 << 20, 1 << 30)], validate=False)
+        blob = dumps_trace_binary(wide)
+        cut = len(blob) - 2  # inside the final site varint
+        addr = str(tmp_path / "tv_engine.sock")
+        listener = TraceListener(addr)
+        client = _spawn_raw_client(
+            addr, [blob[:cut - 3], blob[cut - 3:cut]], delay=0.05)
+        source = listener.accept(timeout=10)
+        recorder, session = recording_session(source.require_info())
+        session.feed(source, max_events=1)
+        assert session.events_acked == 1
+        with pytest.raises(TraceFormatError, match="truncated mid-event"):
+            for _ in session.drain(source, window=8):
+                pass
+        assert session.events_acked == 1
+        assert recorder.seen == event_rows(wide.events[:1])
         client.join()
         _assert_source_closed(source)
 
