@@ -69,6 +69,13 @@ from repro.trace.trace import Trace, TraceInfo
 
 NUM_KINDS = len(HANDLER_NAMES)
 
+#: A kept chunk in which synchronization events (every kind but READ and
+#: WRITE) exceed this share replays through the dispatch tables even for
+#: analyses with a batch kernel: a kernel walks every sync event through
+#: its handler anyway, and on lock-heavy chunks most accesses next to
+#: them, so its vector classification is extra work there.
+KERNEL_MAX_SYNC_SHARE = 0.2
+
 #: Event kinds that end the acting thread's epoch in at least one
 #: analysis (the union of every tier's ``_bump`` sites: releases, forks,
 #: volatiles, class inits always; acquires for the predictive tiers).
@@ -534,18 +541,27 @@ class EngineSession:
         """Replay ``m`` kept events through every live analysis: one
         shared :class:`~repro.core.kernels.ChunkPlan` for the batch
         kernels (built from ``arrays`` when given), the dispatch tables
-        for the rest.  A raising analysis is detached."""
+        for the rest — and for every analysis when synchronization
+        events exceed :data:`KERNEL_MAX_SYNC_SHARE` of the chunk.  A
+        raising analysis is detached."""
         runner = self._runner
         live = self._live
         make_plan = self._make_plan
-        plan = (make_plan(indices, kinds, tids, targets, sites, m, arrays)
-                if make_plan is not None else None)
+        plan = None
+        if make_plan is not None:
+            head = kinds if len(kinds) == m else kinds[:m]
+            if (m - head.count(0) - head.count(1)
+                    <= KERNEL_MAX_SYNC_SHARE * m):
+                plan = make_plan(indices, kinds, tids, targets, sites, m,
+                                 arrays)
         for entry in list(live):
             kernel = entry.kernel
             try:
                 if kernel is not None and plan is not None:
                     kernel.process_chunk(plan)
                 else:
+                    if kernel is not None:
+                        kernel.suspend()
                     runner._replay(entry, indices, kinds, tids, targets,
                                    sites, m)
             except Exception as exc:  # detach this analysis

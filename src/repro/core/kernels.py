@@ -68,7 +68,7 @@ except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
 #: cache key (:mod:`repro.checkpoint.cache`): bump whenever a kernel
 #: change could alter which events reach the handlers or how per-variable
 #: metadata is derived, so stale cached summaries are never replayed.
-KERNELS_VERSION = 1
+KERNELS_VERSION = 2
 
 
 def kernels_available() -> bool:
@@ -336,6 +336,10 @@ class HbEpochKernel:
     def flush(self) -> None:
         """Nothing deferred: the HB tiers' columns are always current."""
 
+    def suspend(self) -> None:
+        """Before the per-event handlers replay a chunk: nothing to hand
+        back (see :meth:`StKernel.suspend`)."""
+
     def process_chunk(self, plan: ChunkPlan) -> None:
         a = self.a
         n = plan.n
@@ -428,45 +432,76 @@ class StKernel:
     release (``BUMP_KINDS``), so one (tid, time) pair identifies exactly
     one lock-stack state, recorded in a per-thread log appended during
     the walk (the only place stacks mutate).  Fast accesses are then pure
-    epoch scatters whose targets go on a dirty set; the stale ``L`` slots
-    are *repaired* from the columns just in time — in the walk, right
-    before a slow access to that variable dispatches (by then every sync
-    event preceding it in program order has been walked and logged) — and
-    once more at :meth:`flush`, restoring the handlers' invariant that an
-    epoch ``R_x ≥ 0`` (resp. ``W_x``) is always paired with its
-    access-time snapshot.  The repaired tuples hold the same live
-    :class:`CSEntry` references an eager store would, so releases
-    finalize them in place identically.
+    epoch scatters whose targets go on dirty sets (every fast access
+    commits ``R_x``; fast writes also ``W_x``); only the slots whose
+    epoch a fast access committed are *repaired* from the columns, just
+    in time — in the walk, right before a slow access to that variable
+    dispatches (by then every sync event preceding it in program order
+    has been walked and logged) — and once more at :meth:`flush`,
+    restoring the handlers' invariant that an epoch ``R_x ≥ 0`` (resp.
+    ``W_x``) is always paired with its access-time snapshot.  The
+    repaired tuples hold the same live :class:`CSEntry` references an
+    eager store would, so releases finalize them in place identically.
     """
 
     def __init__(self, analysis):
         self.a = analysis
         self.bump_kinds = tuple(analysis.BUMP_KINDS)
-        width = analysis.width
-        # Each thread's log is seeded with its *current* lock stack at
-        # time 0 (the empty tuple on a fresh analysis).  A kernel may be
-        # attached to a mid-run analysis — a checkpoint restore
-        # (repro.checkpoint) rebuilds kernels against restored state —
+        self._dirty = set()    # R_x committed by a fast access
+        self._dirty_w = set()  # W_x committed by a fast write
+        # Each thread's log starts with its *current* lock stack at time
+        # 0 (the empty tuple on a fresh analysis).  A kernel may take
+        # over a mid-run analysis — a checkpoint restore
+        # (repro.checkpoint) rebuilds kernels against restored state,
+        # and :meth:`suspend` hands chunks to the per-event handlers —
         # and every epoch a *future* fast access can commit carries a
         # time >= the thread's current time, so one entry covering
-        # [0, now] with the present stack keeps ``_repair`` exact.
-        self._log_times = [[0] for _ in range(width)]
+        # [0, now] with the present stack keeps ``_repair`` exact (it
+        # only re-derives slots whose epoch a fast access committed).
+        self._log_times = [[0] for _ in range(analysis.width)]
         self._log_snaps = [[tuple(s)] for s in analysis._stack]
-        self._dirty = set()
+        #: thread times when the handlers took over (None: not suspended)
+        self._suspended_at = None
+
+    def _times(self):
+        """Every thread's current local time, as an int64 array."""
+        time = self.a._time
+        return np.fromiter((time(u) for u in range(self.a.width)),
+                           np.int64, count=self.a.width)
+
+    def suspend(self) -> None:
+        """Hand the analysis to its per-event handlers for a chunk:
+        repair every dirty variable, and note the thread times so the
+        next :meth:`process_chunk` can restart the logs of the threads
+        whose stacks the handlers may have changed."""
+        if self._suspended_at is None:
+            self.flush()
+            self._suspended_at = self._times()
+
+    def _resume(self) -> None:
+        """Restart the log of every thread whose clock moved while the
+        handlers ran — an acquire or release bumps it; an unmoved
+        thread's stack and log are as the kernel left them."""
+        stacks = self.a._stack
+        moved = np.flatnonzero(self._times() != self._suspended_at)
+        for t in moved.tolist():
+            self._log_times[t] = [0]
+            self._log_snaps[t] = [tuple(stacks[t])]
+        self._suspended_at = None
 
     def process_chunk(self, plan: ChunkPlan) -> None:
         a = self.a
         n = plan.n
         if not n:
             return
+        if self._suspended_at is not None:
+            self._resume()
         tv = plan.tv
         width = a.width
         if not plan.tids_in_range(width):
             self._walk(plan, list(range(n)))
             return
-        time = a._time
-        base = np.fromiter((time(u) for u in range(width)), np.int64,
-                           count=width)
+        base = self._times()
         maxx = plan.max_target()
         if maxx >= len(a._read):
             a._grow_vars(maxx + 1)
@@ -483,6 +518,7 @@ class StKernel:
             wx, we, rx, re_, positions = hit
             if len(wx):
                 np.frombuffer(a._write, dtype=np.int64)[wx] = we
+                self._dirty_w.update(wx.tolist())
             if len(rx):
                 np.frombuffer(a._read, dtype=np.int64)[rx] = re_
                 self._dirty.update(rx.tolist())
@@ -519,7 +555,9 @@ class StKernel:
         wx, we = _commit_last(W, fast_s & wr_s, xs, e_s, end_pos, gend,
                               arange1)
         rx, re_ = _commit_last(R, fast_s, xs, e_s, end_pos, gend, arange1)
-        if len(rx):  # fast writes also commit R, so this covers W
+        if len(wx):
+            self._dirty_w.update(wx.tolist())
+        if len(rx):  # fast writes also commit R: the W set is a subset
             self._dirty.update(rx.tolist())
         pos = order[slow_s | ~acc_s]
         pos.sort()  # back to program order
@@ -528,22 +566,21 @@ class StKernel:
         if positions:
             self._walk(plan, positions)
 
+    def _snapshot(self, epoch: int):
+        """The lock-stack snapshot of the thread and time in ``epoch``."""
+        t = epoch & TID_MASK
+        times = self._log_times[t]
+        return self._log_snaps[t][bisect_right(times, epoch >> TID_BITS) - 1]
+
     def _repair(self, x: int) -> None:
-        """Re-pair variable ``x``'s CS-list slots with its last-access
-        epochs (a no-op when they are already current)."""
+        """Re-pair dirty variable ``x``'s CS-list slots with the epochs
+        fast accesses committed (``L^r_x`` always, ``L^w_x`` after a fast
+        write)."""
         a = self.a
-        r = a._read[x]
-        if r >= 0:
-            t = r & TID_MASK
-            times = self._log_times[t]
-            i = bisect_right(times, r >> TID_BITS) - 1
-            a._lr[x] = self._log_snaps[t][i]
-        w = a._write[x]
-        if w >= 0:
-            t = w & TID_MASK
-            times = self._log_times[t]
-            i = bisect_right(times, w >> TID_BITS) - 1
-            a._lw[x] = self._log_snaps[t][i]
+        a._lr[x] = self._snapshot(a._read[x])
+        if x in self._dirty_w:
+            self._dirty_w.discard(x)
+            a._lw[x] = self._snapshot(a._write[x])
 
     def flush(self) -> None:
         """Repair every still-dirty variable — called by the session

@@ -136,6 +136,76 @@ class TestDifferentialFuzz:
         on = _run(trace, EPOCH_TIERS, True, 512)
         assert on == off
 
+    def test_sync_heavy_chunks_take_the_handlers_bit_identical(self):
+        """Chunks whose kept events are mostly synchronization replay
+        through the dispatch tables, the rest through the kernels; a
+        pass that switches between the two many times leaves the same
+        reports and per-variable metadata as the scalar pass."""
+        trace = generate_trace(WorkloadSpec(
+            name="mixed", threads=4, events=6000, locks=2,
+            shared_vars=16, p_cs=0.3, read_fraction=0.7, burst=4.0,
+            predictive_races=3, hb_races=2, seed=17))
+        analyses = [create(n, trace) for n in EPOCH_TIERS]
+        runner = MultiRunner(analyses, chunk_events=48, use_kernels=True)
+        session = runner.session()
+        routes = {"kernel": 0, "handlers": 0}
+        for entry in runner.entries:
+            kernel = entry.kernel
+
+            def process_chunk(plan, _inner=kernel.process_chunk):
+                routes["kernel"] += 1
+                _inner(plan)
+
+            def suspend(_inner=kernel.suspend):
+                routes["handlers"] += 1
+                _inner()
+
+            kernel.process_chunk = process_chunk
+            kernel.suspend = suspend
+        session.feed(trace)
+        result = session.finish()
+        assert routes["kernel"] and routes["handlers"]
+        on = {entry.name: (_race_key(entry.report),
+                           entry.report.dynamic_count,
+                           entry.report.static_count,
+                           entry.report.peak_footprint_bytes,
+                           _state_of(analysis))
+              for entry, analysis in zip(result.entries, analyses)}
+        assert on == _run(trace, EPOCH_TIERS, False, 48)
+
+    def test_checkpoint_resume_keeps_cs_list_slots(self, monkeypatch):
+        """Kernels rebuilt on a restored session re-derive only the
+        CS-list slots that their own fast accesses committed, so the
+        final metadata equals an uninterrupted scalar pass."""
+        import io
+
+        from repro.core import engine
+
+        # every chunk through the kernels: only the restore hands the
+        # analyses from one kernel to the next
+        monkeypatch.setattr(engine, "KERNEL_MAX_SYNC_SHARE", 1.0)
+        rng = random.Random(99)
+        for i in range(6):
+            trace = generate_trace(_spec(rng, i, max_events=3000))
+            cut = len(trace.events) // 2
+            session = MultiRunner([create(n, trace) for n in EPOCH_TIERS],
+                                  chunk_events=64,
+                                  use_kernels=True).session()
+            session.feed(iter(trace.events), max_events=cut)
+            buf = io.BytesIO()
+            session.save_checkpoint(buf)
+            session.close()
+            buf.seek(0)
+            restored = MultiRunner.restore_checkpoint(buf)
+            restored.feed(iter(trace.events[cut:]))
+            result = restored.finish()
+            got = {entry.name: (_race_key(entry.report),
+                                _state_of(entry.analysis))
+                   for entry in result.entries}
+            off = _run(trace, EPOCH_TIERS, False, 64)
+            assert got == {name: (v[0], v[4]) for name, v in off.items()}, \
+                "spec {}".format(i)
+
     def test_engine_attaches_kernels(self):
         """The capability flag actually takes the batch path (guards
         against silently falling back and "passing" the differential)."""
