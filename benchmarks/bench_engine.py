@@ -229,8 +229,8 @@ def _kernel_spec():
 
 def _predecode(trace, chunk_size):
     """Decode + shared same-epoch filter, once, into flat chunk columns —
-    the exact loop the parallel parent runs — so the timed region below
-    is pure replay (``feed_decoded``), not parsing."""
+    what a sharded session does once for all its workers — so the timed
+    region below is pure replay (``feed_decoded``), not parsing."""
     toks, last_r, last_w = {}, {}, {}
     chunks = []
     idx_b, kind_b, tid_b, tgt_b, site_b = [], [], [], [], []

@@ -1,17 +1,18 @@
 """Multiprocess sharding vs the serial single-pass engine.
 
 The single-pass engine runs the whole 11-analysis matrix in one Python
-process — one core, GIL-bound.  :class:`repro.core.parallel
-.ParallelRunner` shards the analyses across worker processes while the
-parent decodes the recorded capture exactly once; this bench records
-the scaling curve (serial, then 1/2/4 workers) on the ~1M-event binary
-workload and gates the 4-worker point at >= 1.5x over serial.
+process — one core, GIL-bound.  ``MultiRunner(..., workers=N)`` shards
+the analyses across worker processes while this process still decodes
+the recorded capture exactly once; this bench records the scaling
+curve (serial, then 1/2/4 workers) on the ~1M-event binary workload
+and gates the 4-worker point at >= 1.5x over serial.
 
 Both sides run the identical streaming path (``measure_stream`` over
 the same v2 binary file, ``sample_every=0``), so the ratio isolates the
 sharding: parent decode + shared-memory broadcast + parallel replay vs
-one-process decode + replay.  1-worker parallel is included because it
-prices the transport overhead itself (expect < 1x).
+one-process decode + replay.  ``workers=1`` is the in-process pass
+itself (the engine forks nothing below two workers), so its row prices
+run-to-run noise against the serial row (expect ~1x).
 
 The >= 1.5x gate presumes hardware parallelism: on a host with fewer
 than 4 usable cores the wall-clock target is physically unreachable

@@ -34,10 +34,8 @@ EXAMPLE_REQUIRED = (
     "detect_races",
     "detect_races_multi",
     "detect_races_stream",
-    "detect_races_parallel",
     "stream_trace",
     "MultiRunner.session",
-    "ParallelRunner",
     "TraceListener",
     "PipeTraceSource",
     "send_trace",

@@ -40,7 +40,6 @@ from repro.core.engine import (
     run_analyses,
     run_stream,
 )
-from repro.core.parallel import ParallelRunner, plan_shards, run_parallel
 from repro.core.registry import ANALYSIS_NAMES, MAIN_MATRIX, create, relation_of, tier_of
 from repro.trace.builder import TraceBuilder
 from repro.trace.event import Event
@@ -66,7 +65,6 @@ __all__ = [
     "MAIN_MATRIX",
     "MultiResult",
     "MultiRunner",
-    "ParallelRunner",
     "PipeTraceSource",
     "RaceRecord",
     "RaceReport",
@@ -82,16 +80,13 @@ __all__ = [
     "create",
     "detect_races",
     "detect_races_multi",
-    "detect_races_parallel",
     "detect_races_stream",
     "dump_trace",
     "dumps_trace",
     "load_trace",
     "loads_trace",
-    "plan_shards",
     "relation_of",
     "run_analyses",
-    "run_parallel",
     "run_stream",
     "send_trace",
     "stream_trace",
@@ -144,14 +139,20 @@ def detect_races_multi(trace: Trace, analyses=None,
 
 
 def detect_races_stream(source, analyses=None,
-                        sample_footprint_every: int = 0) -> MultiResult:
+                        sample_footprint_every: int = 0,
+                        workers: int = 1) -> MultiResult:
     """Analyze a recorded trace file in one bounded-memory streaming pass.
 
     ``source`` is a path or open handle of a trace written by
     :func:`dump_trace` — v1 text or v2 binary, autodetected from the
     leading bytes; events are parsed lazily and the full trace is never
     materialized.  ``analyses`` defaults to ``["st-wdc"]`` (the paper's
-    cheapest predictive configuration).
+    cheapest predictive configuration).  ``workers`` > 1 shards the
+    analyses across that many worker processes (see
+    :class:`~repro.core.engine.MultiRunner`): the file is still parsed
+    once, and reports are bit-identical to the in-process pass; an
+    analysis of a worker that died carries an
+    :class:`~repro.core.engine.AnalysisFailure` instead of a report.
 
     Example (record, then analyze the file in bounded memory)::
 
@@ -164,33 +165,7 @@ def detect_races_stream(source, analyses=None,
         assert result.report("st-wdc").dynamic_count == 1
     """
     return run_stream(source, list(analyses or ["st-wdc"]),
-                      sample_every=sample_footprint_every)
-
-
-def detect_races_parallel(source, analyses=None, workers: int = 2,
-                          sample_footprint_every: int = 0) -> MultiResult:
-    """Analyze a recorded trace file with multiprocess analysis shards.
-
-    The sharded counterpart of :func:`detect_races_stream`: the trace is
-    still parsed (and same-epoch-filtered) exactly once, in the parent,
-    and decoded chunks are broadcast to ``workers`` worker processes,
-    each running a shard of ``analyses`` (default: the full
-    :data:`MAIN_MATRIX`) — see :class:`repro.core.parallel.ParallelRunner`.
-    Reports are bit-identical to the in-process pass; an analysis of a
-    worker that died carries an
-    :class:`~repro.core.engine.AnalysisFailure` instead of a report.
-
-    Example (shard the paper's full matrix over 4 processes)::
-
-        import repro
-
-        result = repro.detect_races_parallel("big.bin", workers=4)
-        if result.ok:
-            print(result.report("st-wdc").dynamic_count)
-    """
-    return run_parallel(source, list(analyses or MAIN_MATRIX),
-                        workers=workers,
-                        sample_every=sample_footprint_every)
+                      sample_every=sample_footprint_every, workers=workers)
 
 
 def vindicate_first_race(trace: Trace, analysis: str = "st-wdc"):

@@ -85,12 +85,17 @@ def save_session(session: EngineSession,
     delivered by earlier :meth:`~repro.core.engine.EngineSession.feed`
     calls are not re-delivered by the restored session (their records
     are in the analysis state, so final reports are unaffected).
-    Raises :class:`CheckpointError` for a finished session.
+    Raises :class:`CheckpointError` for a finished or sharded session.
     """
     if session.finished:
         raise CheckpointError("cannot checkpoint a finished session; "
                               "checkpoints capture a live mid-stream pass")
     runner = session.runner
+    if runner.workers > 1:
+        raise CheckpointError(
+            "cannot checkpoint a sharded session (workers={}): its "
+            "analyses' state lives in its worker processes; checkpoint "
+            "an in-process (workers=1) session".format(runner.workers))
     entries = session.entries
     # settle lazily-derived metadata (e.g. StKernel CS lists) into the
     # analyses before pickling them; the kernels themselves are not

@@ -45,13 +45,13 @@ survive producer disconnects and resume from the last acked event, and
 per-session metrics.  The serve command itself is a thin shell over
 :func:`repro.server.serve_main`.
 
-``analyze``, ``compare``, and ``serve`` take ``--workers N`` to shard
-the requested analyses across N worker processes
-(:class:`repro.core.parallel.ParallelRunner`): the trace is still
-decoded exactly once (in the parent), decoded chunks are broadcast to
-the workers over shared memory, and the merged reports are identical to
-the in-process pass.  A worker that dies mid-run degrades to the
-partial-summary exit-2 path, like any detached analysis.
+Every analysis pass is one engine pass, and ``analyze``, ``compare``,
+and ``serve`` take ``--workers N`` to shard it: the engine
+(``MultiRunner(workers=N)``) still reads the trace exactly once, in
+this process, broadcasts the kept chunks to N worker processes over
+shared memory, and the reports are identical to the in-process pass.
+A worker that dies mid-run degrades to the partial-summary exit-2 path,
+like any detached analysis.
 
 Exit status contract: 0 = no races, 1 = races found, 2 = unreadable,
 malformed, or partially failed analysis.  2 takes precedence: a run that
@@ -69,20 +69,13 @@ import sys
 from typing import List, Optional
 
 from repro.core.registry import ANALYSIS_NAMES, MAIN_MATRIX, create
-from repro.core.engine import run_analyses, run_stream
-from repro.reporting import print_entries, print_report
+from repro.core.engine import MultiRunner, run_stream
+from repro.reporting import print_entries
 from repro.trace.format import TraceFormatError, dump_trace, load_trace
 from repro.trace.trace import WellFormednessError
 from repro.workloads.dacapo import DACAPO_SPECS, dacapo_trace
 from repro.workloads.generator import generate_trace
 from repro.workloads.stats import characterize
-
-
-def _print_report(name: str, report, args) -> int:
-    """One analysis report (args-shaped shim over
-    :func:`repro.reporting.print_report`)."""
-    return print_report(name, report, max_races=args.max_races,
-                        memory=args.memory)
 
 
 def _print_entries(result, args, vindicate_trace=None) -> int:
@@ -111,7 +104,6 @@ def _cmd_analyze(args) -> int:
     if _bad_window(args):
         return 2
     window = args.window_events
-    exit_code = 0
     if getattr(args, "cache", None):
         if args.vindicate or args.memory or workers > 1 or window:
             print("error: --cache is a checkpointed streaming replay; it "
@@ -133,32 +125,12 @@ def _cmd_analyze(args) -> int:
         # surviving analyses report races (documented 0/1/2 contract)
         return 2 if not result.ok else races_found
     trace = load_trace(args.trace)
-    if workers > 1:
-        from repro.core.parallel import ParallelRunner
-        result = ParallelRunner(analyses, trace, workers=workers,
-                                sample_every=sample,
-                                window_events=window).run(trace)
-        races_found = _print_entries(
-            result, args, vindicate_trace=trace if args.vindicate else None)
-        return 2 if not result.ok else races_found
-    if window:
-        # windowed serial pass: one engine run (eviction is an engine
-        # behavior; the solo Analysis.run() path has no window clock)
-        from repro.core.engine import MultiRunner
-        result = MultiRunner([create(name, trace) for name in analyses],
-                             sample_every=sample,
-                             window_events=window).run(trace)
-        races_found = _print_entries(
-            result, args, vindicate_trace=trace if args.vindicate else None)
-        return 2 if not result.ok else races_found
-    for name in analyses:
-        report = create(name, trace).run(sample_every=sample)
-        exit_code |= _print_report(name, report, args)
-        if args.vindicate and report.races:
-            from repro.vindication.vindicate import vindicate
-            result = vindicate(trace, report.first_race)
-            print("   vindication of first race: {}".format(result.verdict))
-    return exit_code
+    result = MultiRunner([create(name, trace) for name in analyses],
+                         sample_every=sample, window_events=window,
+                         workers=workers).run(trace)
+    races_found = _print_entries(
+        result, args, vindicate_trace=trace if args.vindicate else None)
+    return 2 if not result.ok else races_found
 
 
 #: The relation hierarchy the compare table checks (paper §2: every
@@ -175,11 +147,8 @@ def _cmd_compare(args) -> int:
         return 2
 
     def _run_in_memory(trace):
-        if workers > 1:
-            from repro.core.parallel import ParallelRunner
-            return ParallelRunner(analyses, trace,
-                                  workers=workers).run(trace)
-        return run_analyses(trace, analyses)
+        return MultiRunner([create(name, trace) for name in analyses],
+                           workers=workers).run(trace)
 
     if args.program:
         spec = DACAPO_SPECS[args.program]

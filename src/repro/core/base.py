@@ -469,6 +469,18 @@ class VectorClockAnalysis(Analysis):
             self._hvol_r: Dict[int, VectorClock] = {}
             self._hcls: Dict[int, VectorClock] = {}
 
+    def _column_size(self, need: int) -> int:
+        """Slots a per-variable metadata column grows to when it must
+        cover ``need`` (epoch tiers start their columns at one slot):
+        the next power of two, capped at the trace's declared variable
+        count while that still covers ``need``.  The declared count
+        only caps growth — a remote producer writes the header it comes
+        from — and the size depends on ``need`` alone, so the kernel
+        and handler paths end with equal columns."""
+        size = 1 << (need - 1).bit_length()
+        declared = getattr(self.trace, "num_vars", 0) or 0
+        return min(size, declared) if need <= declared else size
+
     # -- time -----------------------------------------------------------
     def _time(self, t: int) -> int:
         if self.hh is not None:

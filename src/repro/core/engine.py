@@ -38,7 +38,10 @@ feeds every registered analysis from it:
   so offline and online paths share every optimization (flat chunks,
   batch kernels, the same-epoch filter) and produce identical reports
   (the differential fuzz sweep replays every fuzzed trace through a live
-  socket session and asserts this).
+  socket session and asserts this);
+* **sharding** — ``MultiRunner(..., workers=N)`` runs the same session
+  loop but broadcasts each kept chunk to worker processes that replay
+  forked copies of the analyses (:mod:`repro.core.parallel`).
 
 Analyses are ordinary instances; two instances of the *same* analysis can
 run side by side (each owns all of its mutable state — the dispatch-table
@@ -453,7 +456,7 @@ class EngineSession:
                 if window is not None:
                     # clamp the chunk at the next eviction boundary, so
                     # windowed results are chunk-size-independent and
-                    # identical across the serial and parallel paths
+                    # identical across the serial and sharded paths
                     limit = min(limit, self._next_evict - self._events_seen)
                 # a failing source (malformed live feed, read timeout)
                 # keeps the events it delivered: they are replayed
@@ -462,16 +465,12 @@ class EngineSession:
                 cols, n, error, exhausted = read_chunk(source, limit)
                 if n:
                     base = self._events_seen
-                    try:
-                        (indices, kinds, tids, targets, sites, m,
-                         arrays) = filter_chunk(cols, n, base, filt, vector)
-                        if window is not None:
-                            self._track_ages(indices, kinds, targets, m)
-                        if m:
-                            self._replay_chunk(indices, kinds, tids,
-                                               targets, sites, m, arrays)
-                    finally:
-                        self._events_seen = base + n
+                    self._events_seen = base + n
+                    (indices, kinds, tids, targets, sites, m,
+                     arrays) = filter_chunk(cols, n, base, filt, vector)
+                    if m:
+                        self._replay_chunk(indices, kinds, tids, targets,
+                                           sites, m, arrays)
                     if progress is not None:
                         progress(base + n)
                         self._reported = base + n
@@ -498,7 +497,7 @@ class EngineSession:
         new races.
 
         This is the multiprocess worker entry point
-        (:mod:`repro.core.parallel`): the parallel parent reads — and
+        (:mod:`repro.core.parallel`): a sharded session reads — and
         same-epoch-filters — the event stream exactly once through the
         same column path as :meth:`feed` and ships the five kept
         columns to each worker, whose shard session replays them here.
@@ -522,8 +521,6 @@ class EngineSession:
             gc.disable()
         try:
             if n:
-                if self._window is not None:
-                    self._track_ages(indices, kinds, targets, n)
                 self._replay_chunk(indices, kinds, tids, targets, sites, n)
         finally:
             self._events_seen = events_seen
@@ -543,7 +540,10 @@ class EngineSession:
         kernels (built from ``arrays`` when given), the dispatch tables
         for the rest — and for every analysis when synchronization
         events exceed :data:`KERNEL_MAX_SYNC_SHARE` of the chunk.  A
-        raising analysis is detached."""
+        raising analysis is detached.  In bounded-window mode the
+        chunk's accesses first refresh their variables' ages."""
+        if self._window is not None:
+            self._track_ages(indices, kinds, targets, m)
         runner = self._runner
         live = self._live
         make_plan = self._make_plan
@@ -622,6 +622,11 @@ class EngineSession:
         live consumer never loses a race that was found before the feed
         died.  Drive :meth:`feed` directly only when per-window work is
         needed (progress sampling, adaptive window sizes).
+
+        The drain ends at a barrier (:meth:`_barrier`): when it returns
+        or raises, every race found in the events it consumed has been
+        yielded — immediate for an in-process session, a round trip to
+        every worker for a sharded one.
         """
         source = column_source(events)
         while True:
@@ -629,13 +634,21 @@ class EngineSession:
             try:
                 races = self.feed(source, max_events=window)
             except BaseException:
-                for pair in self.pending_races():
+                for pair in self._barrier() + self.pending_races():
                     yield pair
                 raise
             for pair in races:
                 yield pair
             if self._events_seen == seen:
+                for pair in self._barrier():
+                    yield pair
                 return
+
+    def _barrier(self) -> List[tuple]:
+        """End-of-drain hook: the races still in flight.  An in-process
+        session has none (:meth:`feed` replays and delivers each chunk
+        before it returns); a sharded one waits for its workers."""
+        return []
 
     def pending_races(self) -> List[tuple]:
         """Races discovered since the last :meth:`feed` (or call of this
@@ -751,6 +764,11 @@ class EngineSession:
         if progress is not None and events_processed > self._reported:
             progress(events_processed)
             self._reported = events_processed
+        self._seal(events_processed)
+        return MultiResult(self.entries, events_processed)
+
+    def _seal(self, events_processed: int) -> None:
+        """Build every live entry's final report (:meth:`finish`)."""
         for entry in self.entries:
             if entry.failure is None:
                 if entry.kernel is not None:
@@ -759,7 +777,6 @@ class EngineSession:
                     entry.kernel.flush()
                 entry.report = entry.analysis.finish(
                     events_processed, entry.peak)
-        return MultiResult(self.entries, events_processed)
 
     def close(self) -> None:
         """Abandon the session without building reports (the analyses
@@ -831,10 +848,19 @@ class MultiRunner:
         (metadata survives at least N and less than 2N events; DESIGN.md
         §11).  Chunks are clamped so no chunk crosses a window boundary,
         which makes windowed results independent of ``chunk_events`` and
-        identical across the serial and parallel paths.  Windowed runs
+        identical across the serial and sharded paths.  Windowed runs
         use the scalar replay paths (no batch kernels) and disable the
         shared same-epoch filter (a filtered repeat would not refresh
         its variable's last-access age).
+    workers:
+        > 1 shards the analyses across that many worker processes
+        (clamped to the analysis count; DESIGN.md §6): this process
+        still reads and filters the events once, and broadcasts the
+        kept chunks to workers that replay their shard's analyses —
+        forked copies of these instances.  Reports are bit-identical to
+        the in-process pass.  A sharded runner opens exactly one
+        session, because its analyses' state lives in that session's
+        workers, and the session cannot be checkpointed.
     """
 
     def __init__(self, analyses: Sequence[Analysis], sample_every: int = 0,
@@ -842,7 +868,7 @@ class MultiRunner:
                  chunk_events: int = 8192, share_hb: bool = True,
                  use_kernels: Optional[bool] = None,
                  max_pending_races: Optional[int] = None,
-                 window_events: Optional[int] = None):
+                 window_events: Optional[int] = None, workers: int = 1):
         if not analyses:
             raise ValueError("MultiRunner needs at least one analysis")
         if window_events is not None:
@@ -858,31 +884,38 @@ class MultiRunner:
         self.window_events = window_events
         self.max_pending_races = (None if max_pending_races is None
                                   else max(max_pending_races, 0))
+        self.workers = max(1, min(int(workers), len(self.entries)))
         self._session_open = False
+        self._sharded = False  # a sharded session was opened
         self._use_kernels = use_kernels
         self._kernels_attached = False
         self._kernels_on = False
 
     # -- batch kernel attachment -------------------------------------------
-    def _attach_kernels(self) -> None:
-        """Hand each capable live analysis its batch kernel (once, before
-        the first session: a kernel permanently claims its entry, whose
-        fast paths then bypass the per-event handlers).
+    def _kernels_allowed(self) -> bool:
+        """Whether this pass may run the numpy column path: batch
+        kernels and the vectorized filter.
 
         Sampling passes keep the scalar path: a kernel skips handler
         work per event, so per-event footprint peaks would be wrong.
+        Window mode does too: kernel fast paths cache per-variable
+        state that eviction would invalidate.
         """
+        if (self._use_kernels is False or self.sample_every
+                or self.window_events is not None):
+            return False
+        from repro.core import kernels
+
+        return kernels.kernels_available()
+
+    def _attach_kernels(self) -> None:
+        """Hand each capable live analysis its batch kernel (once, before
+        the first session: a kernel permanently claims its entry, whose
+        fast paths then bypass the per-event handlers)."""
         if self._kernels_attached:
             return
         self._kernels_attached = True
-        if (self._use_kernels is False or self.sample_every
-                or self.window_events is not None):
-            # window mode keeps the scalar paths: kernel fast paths
-            # cache per-variable state that eviction would invalidate
-            return
-        from repro.core import kernels
-
-        if not kernels.kernels_available():
+        if not self._kernels_allowed():
             return
         for entry in self.entries:
             if entry.failure is None:
@@ -948,7 +981,10 @@ class MultiRunner:
         :class:`EngineSession`.  Only one session may be open at a time
         (the analyses' mutable state is shared); :meth:`finish` (or
         :meth:`EngineSession.close`) releases the runner for the next
-        one.  Batch kernels attach when the first session opens.
+        one.  Batch kernels attach when the first session opens.  With
+        ``workers`` > 1 the session forks the workers
+        (:class:`repro.core.parallel.ShardedSession`), and it is the
+        runner's only one.
 
         Example (drain a live source in bounded windows)::
 
@@ -962,9 +998,24 @@ class MultiRunner:
             raise RuntimeError(
                 "another engine session over these analyses is still "
                 "open; finish() or close() it first")
-        self._attach_kernels()
+        if self.workers > 1:
+            if self._sharded:
+                raise RuntimeError(
+                    "a sharded runner opens one session: its analyses' "
+                    "state lived in that session's worker processes; "
+                    "build a new MultiRunner")
+            from repro.core.parallel import ShardedSession
+
+            # no kernel attaches here (each worker attaches its own),
+            # but the filter runs vectorized wherever they would
+            self._kernels_on = self._kernels_allowed()
+            session: EngineSession = ShardedSession(self)
+            self._sharded = True
+        else:
+            self._attach_kernels()
+            session = EngineSession(self)
         self._session_open = True
-        return EngineSession(self)
+        return session
 
     @classmethod
     def restore_checkpoint(cls, fp) -> EngineSession:
@@ -1041,10 +1092,9 @@ def run_stream(source, names: Sequence[str], sample_every: int = 0,
     online path against the one-shot pass on the same capture.
 
     ``workers`` > 1 shards the analyses across that many worker
-    processes (:class:`repro.core.parallel.ParallelRunner`): the parent
-    still parses the file exactly once, and the merged reports are
-    bit-identical to the in-process pass.  ``progress`` is not
-    supported on the sharded path.
+    processes (``MultiRunner(workers=...)``): this process still parses
+    the file exactly once, and the reports — and ``progress`` calls —
+    are identical to the in-process pass.
 
     ``evict_window`` > 0 turns on the engine's bounded-window mode
     (``MultiRunner(window_events=...)``): per-variable metadata older
@@ -1054,25 +1104,22 @@ def run_stream(source, names: Sequence[str], sample_every: int = 0,
     """
     from repro.trace.format import stream_trace
 
-    if workers > 1:
-        from repro.core.parallel import run_parallel
-
-        return run_parallel(source, names, workers=workers,
-                            sample_every=sample_every,
-                            window_events=window_events,
-                            evict_window=evict_window)
-    stream = stream_trace(source)
-    info = stream.require_info()
-    evict = evict_window if evict_window > 0 else None
-    if window_events > 0:
+    # everything after the open lives inside the with: a bad analysis
+    # name or hostile header dimensions must not leak the descriptor
+    with stream_trace(source) as stream:
+        info = stream.require_info()
         runner = MultiRunner([create(name, info) for name in names],
                              sample_every=sample_every, progress=progress,
-                             window_events=evict)
+                             window_events=(evict_window if evict_window > 0
+                                            else None),
+                             workers=workers)
+        if window_events <= 0:
+            return runner.run(stream)
         session = runner.session()
-        for _ in session.drain(stream, window=window_events):
-            pass
+        try:
+            for _ in session.drain(stream, window=window_events):
+                pass
+        except BaseException:
+            session.close()
+            raise
         return session.finish()
-    analyses = [create(name, info) for name in names]
-    runner = MultiRunner(analyses, sample_every=sample_every,
-                         progress=progress, window_events=evict)
-    return runner.run(stream)

@@ -61,9 +61,9 @@ class _EpochHbBase(VectorClockAnalysis):
     def __init__(self, trace: Trace, collect_cases: bool = False):
         super().__init__(trace, collect_cases=collect_cases)
         self._lock_clock: Dict[int, VectorClock] = {}
-        nv = max(getattr(trace, "num_vars", 0) or 0, 1)
-        self._read = array("q", _BOTTOM_WORD * nv)
-        self._write = array("q", _BOTTOM_WORD * nv)
+        # one slot, grown on demand (see _column_size)
+        self._read = array("q", _BOTTOM_WORD)
+        self._write = array("q", _BOTTOM_WORD)
         #: read metadata slots promoted to vector clocks (column holds
         #: META_VC); keyed by variable
         self._read_vc: Dict[int, VectorClock] = {}
@@ -72,7 +72,7 @@ class _EpochHbBase(VectorClockAnalysis):
         """Extend the metadata columns to at least ``need`` slots."""
         have = len(self._read)
         if need > have:
-            pad = _BOTTOM_WORD * (need - have)
+            pad = _BOTTOM_WORD * (self._column_size(need) - have)
             self._read.frombytes(pad)
             self._write.frombytes(pad)
 

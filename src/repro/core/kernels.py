@@ -482,12 +482,18 @@ class StKernel:
         """Restart the log of every thread whose clock moved while the
         handlers ran — an acquire or release bumps it; an unmoved
         thread's stack and log are as the kernel left them."""
-        stacks = self.a._stack
         moved = np.flatnonzero(self._times() != self._suspended_at)
-        for t in moved.tolist():
+        self._restart_logs(moved.tolist())
+        self._suspended_at = None
+
+    def _restart_logs(self, threads) -> None:
+        """Restart each of ``threads``' logs at its current (time,
+        stack): one entry covering [0, now], exact for every epoch a
+        later fast access can commit (see ``__init__``)."""
+        stacks = self.a._stack
+        for t in threads:
             self._log_times[t] = [0]
             self._log_snaps[t] = [tuple(stacks[t])]
-        self._suspended_at = None
 
     def process_chunk(self, plan: ChunkPlan) -> None:
         a = self.a
@@ -621,6 +627,15 @@ class StKernel:
             if k == 2 or k == 3:  # acquire/release mutate H_t
                 log_times[t].append(time(t))
                 log_snaps[t].append(tuple(stacks[t]))
+        # Compaction: the logs gain an entry per walked acquire/release
+        # and would grow for as long as the kernel runs.  Once they
+        # outnumber the slots still to repair, repair those now (the
+        # same tuples a later repair derives) and restart every log:
+        # the O(dirty) flush is paid for by as many appended entries.
+        width = a.width
+        if sum(map(len, log_times)) > len(dirty) + width:
+            self.flush()
+            self._restart_logs(range(width))
 
 
 #: Code objects of the kernels' ordered walks, matched by

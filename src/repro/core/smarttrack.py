@@ -78,15 +78,15 @@ class SmartTrack(VectorClockAnalysis):
     def __init__(self, trace: Trace, rule_b_style: str = "log",
                  collect_cases: bool = False):
         super().__init__(trace, collect_cases=collect_cases)
-        nv = max(getattr(trace, "num_vars", 0) or 0, 1)
-        self._read = array("q", _BOTTOM_WORD * nv)
-        self._write = array("q", _BOTTOM_WORD * nv)
+        # per-variable columns: one slot, grown on demand (_column_size)
+        self._read = array("q", _BOTTOM_WORD)
+        self._write = array("q", _BOTTOM_WORD)
         #: read slots promoted to vector clocks (column holds META_VC)
         self._read_vc: Dict[int, VectorClock] = {}
-        self._lw: List[Optional[CSList]] = [None] * nv
-        self._lr: List[ReadCS] = [None] * nv
+        self._lw: List[Optional[CSList]] = [None]
+        self._lr: List[ReadCS] = [None]
         #: bit 0: E^r_x non-empty; bit 1: E^w_x non-empty
-        self._eflags = array("b", bytes(nv))
+        self._eflags = array("b", bytes(1))
         # E^r_x / E^w_x: var -> thread -> lock -> release-clock reference
         self._er: Dict[int, Dict[int, Dict[int, VectorClock]]] = {}
         self._ew: Dict[int, Dict[int, Dict[int, VectorClock]]] = {}
@@ -101,12 +101,13 @@ class SmartTrack(VectorClockAnalysis):
         """Extend the per-variable columns to at least ``need`` slots."""
         have = len(self._read)
         if need > have:
-            pad = _BOTTOM_WORD * (need - have)
+            grow = self._column_size(need) - have
+            pad = _BOTTOM_WORD * grow
             self._read.frombytes(pad)
             self._write.frombytes(pad)
-            self._lw.extend([None] * (need - have))
-            self._lr.extend([None] * (need - have))
-            self._eflags.frombytes(bytes(need - have))
+            self._lw.extend([None] * grow)
+            self._lr.extend([None] * grow)
+            self._eflags.frombytes(bytes(grow))
 
     def make_kernel(self):
         """See :meth:`repro.core.base.Analysis.make_kernel`."""

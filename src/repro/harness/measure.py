@@ -166,11 +166,10 @@ def measure_stream(source, analysis_names: Sequence[str],
     one-shot pass on the same capture.
 
     ``workers`` > 1 shards the analyses across worker processes
-    (:class:`repro.core.parallel.ParallelRunner`); ``seconds`` then
-    covers the whole sharded pass — parent parse + decode, broadcast,
-    worker replay, and report merge — which is what
-    ``benchmarks/bench_parallel.py`` compares against the in-process
-    pass.
+    (``MultiRunner(workers=...)``); ``seconds`` then covers the whole
+    sharded pass — parent parse + decode, broadcast, worker replay, and
+    report collection — which is what ``benchmarks/bench_parallel.py``
+    compares against the in-process pass.
     """
     names = list(analysis_names)
     t0 = time.perf_counter()

@@ -522,19 +522,14 @@ def run_single(config: ServerConfig) -> int:
     sys.stderr.flush()
     source = listener.accept(timeout=config.timeout)
     feed_error: Optional[BaseException] = None
-    workers = max(config.workers, 1)
     with source:
         info = source.require_info()
         try:
-            if workers > 1:
-                from repro.core.parallel import ParallelRunner
-                runner = ParallelRunner(analyses, info, workers=workers,
-                                        window_events=config.window_events)
-            else:
-                runner = MultiRunner(
-                    [create(name, info) for name in analyses],
-                    max_pending_races=config.max_pending_races,
-                    window_events=config.window_events)
+            runner = MultiRunner(
+                [create(name, info) for name in analyses],
+                max_pending_races=config.max_pending_races,
+                window_events=config.window_events,
+                workers=config.workers)
         except ValueError as exc:
             # a remote producer controls these dimensions; an absurd
             # header (e.g. more threads than packed epochs support) is a

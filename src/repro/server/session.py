@@ -13,8 +13,8 @@ producer connections.  The state machine is deliberately small::
 
 A *detached* session is the whole point of the resume protocol: the
 producer dropped (crash, network, redeploy) but the engine session — an
-:class:`~repro.core.engine.EngineSession` or
-:class:`~repro.core.parallel.ParallelSession` — keeps every analysis'
+:class:`~repro.core.engine.EngineSession`, whose worker processes stay
+alive across connections when it is sharded — keeps every analysis'
 mid-stream state, and :attr:`events_acked` is the exact offset a
 reconnecting producer must resend from.  Anonymous producers (no hello
 frame) cannot be addressed again, so their clean EOF completes the
@@ -33,6 +33,7 @@ import time
 from collections import deque
 from typing import Iterator, Optional
 
+from repro.core.engine import MultiRunner
 from repro.core.registry import create
 from repro.trace.stream import column_source
 from repro.trace.trace import TraceInfo
@@ -56,7 +57,7 @@ COMPLETE = "complete"
 #: anonymous producer, or the resume grace expired).
 FAILED = "failed"
 
-#: Parallel workers are forked, and the server forks from a thread pool:
+#: Sharded sessions fork workers, and the server forks from a thread pool:
 #: a fork taken while *another* connection thread is mid-way through
 #: creating shared memory or registering with the resource tracker hands
 #: the child a held lock it can never acquire.  Serializing engine
@@ -176,18 +177,11 @@ class TenantSession:
             config = self.config
             try:
                 with _ENGINE_BUILD_LOCK:
-                    if config.workers > 1:
-                        from repro.core.parallel import ParallelRunner
-                        self.runner = ParallelRunner(
-                            list(config.analyses), info,
-                            workers=config.workers,
-                            window_events=config.window_events)
-                    else:
-                        from repro.core.engine import MultiRunner
-                        self.runner = MultiRunner(
-                            [create(name, info) for name in config.analyses],
-                            max_pending_races=config.max_pending_races,
-                            window_events=config.window_events)
+                    self.runner = MultiRunner(
+                        [create(name, info) for name in config.analyses],
+                        max_pending_races=config.max_pending_races,
+                        window_events=config.window_events,
+                        workers=config.workers)
                     self.session = self.runner.session()
             except ValueError as exc:
                 self.runner = None
@@ -204,11 +198,7 @@ class TenantSession:
         """
         window = max(self.config.window, 1)
         source = _Liveness(column_source(source), self)
-        if self.config.workers > 1:
-            races = self.session.drain(source, window=window, seal=False)
-        else:
-            races = self.session.drain(source, window=window)
-        for pair in races:
+        for pair in self.session.drain(source, window=window):
             self.races_total += 1
             race = pair[1]
             self.recent_races.append(

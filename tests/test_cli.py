@@ -753,6 +753,28 @@ class TestWorkers:
         # the final summary block stays byte-identical to offline analyze
         assert out.endswith(expected)
 
+    def test_serve_workers_emits_every_race_live(self, trace_path,
+                                                 tmp_path, capsys):
+        # the drain ends at a barrier with the workers: every race is
+        # printed as a live line before the summary block
+        trace = load_trace(trace_path)
+        addr = str(tmp_path / "pl.sock")
+        sender = threading.Thread(target=send_trace, args=(trace, addr),
+                                  daemon=True)
+        sender.start()
+        code = main(["serve", addr, "--workers", "2", "--emit", "jsonl",
+                     "-a", "st-wdc", "-a", "fto-hb", "--timeout", "30"])
+        sender.join()
+        assert code == 1
+        lines = [json.loads(line)
+                 for line in capsys.readouterr().out.splitlines()]
+        kinds = [line["type"] for line in lines]
+        assert "race" not in kinds[kinds.index("summary"):]
+        for summary in lines[kinds.index("summary"):]:
+            live = [line for line in lines if line["type"] == "race"
+                    and line["analysis"] == summary["analysis"]]
+            assert len(live) == summary["dynamic"] > 0
+
     def test_workers_one_is_in_process(self, trace_path, capsys):
         # --workers 1 must not regress the plain path (exact same output)
         serial_code = main(["analyze", trace_path, "-a", "st-wdc"])

@@ -1,13 +1,17 @@
 """Tests for the single-pass multi-analysis engine (repro.core.engine)."""
 
 import io
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
 import repro
 from repro.core.base import Analysis
 from repro.core.engine import MultiRunner, run_analyses, run_stream
-from repro.core.registry import MAIN_MATRIX, create
+from repro.core.registry import ANALYSIS_NAMES, MAIN_MATRIX, create
 from repro.harness.tables import TABLE3_ANALYSES
 from repro.trace.trace import TraceInfo
 from repro.workloads import figure1, generate_trace, WorkloadSpec
@@ -685,3 +689,56 @@ class TestServingState:
         assert report.static_count == reference.static_count
         # ...but the retained records are capped
         assert len(report.races) <= 5
+
+
+class TestDeclaredDimensions:
+    """A header's declared ``num_vars`` sizes nothing up front: a remote
+    producer controls it (``serve``), so per-variable columns start
+    empty and grow with the variables the events actually touch."""
+
+    def test_huge_num_vars_header_analyzes_like_a_normal_one(
+            self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.trace.binfmt import BinaryTraceWriter
+        from repro.trace.event import WRITE, Event
+
+        paths = {}
+        for label, num_vars in (("normal", 1), ("huge", 2 ** 40)):
+            paths[label] = str(tmp_path / (label + ".bin"))
+            with BinaryTraceWriter(paths[label], TraceInfo(
+                    num_threads=2, num_vars=num_vars)) as writer:
+                writer.write(Event(0, WRITE, 0, 1))
+                writer.write(Event(1, WRITE, 0, 2))
+        for name in ANALYSIS_NAMES:
+            runs = {}
+            for label, path in paths.items():
+                code = main(["analyze", "--stream", "-a", name, path])
+                runs[label] = (code, capsys.readouterr())
+            assert runs["huge"][0] == runs["normal"][0] == 1, \
+                (name, runs["huge"][1].err)
+            assert runs["huge"][1].out == runs["normal"][1].out, name
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="POSIX rlimits")
+    def test_create_with_huge_num_vars_is_instant(self):
+        # in a child with a capped address space, so an up-front column
+        # allocation fails fast instead of exhausting the machine
+        child = textwrap.dedent("""
+            import resource, time
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))
+            from repro.core.registry import ANALYSIS_NAMES, create
+            from repro.trace.trace import TraceInfo
+            for name in ANALYSIS_NAMES:
+                t0 = time.perf_counter()
+                create(name, TraceInfo(num_threads=2, num_vars=10 ** 9))
+                print(name, time.perf_counter() - t0)
+        """)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), "..", "src")]
+            + env.get("PYTHONPATH", "").split(os.pathsep))
+        proc = subprocess.run([sys.executable, "-c", child], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        seconds = dict(line.split() for line in proc.stdout.splitlines())
+        assert sorted(seconds) == sorted(ANALYSIS_NAMES)
+        assert max(float(s) for s in seconds.values()) < 0.1, seconds

@@ -192,8 +192,6 @@ def test_fuzz_parallel_equals_serial(fuzz_count):
     and identical per-analysis summary counts.  Chunk sizes are
     randomized down to a few events so multi-chunk broadcast and ring
     wraparound are exercised."""
-    from repro.core.parallel import ParallelRunner
-
     rng = random.Random(0x9A7A11E1)
     for trial in range(fuzz_count):
         trace = fuzzed_trace(rng, trial)
@@ -204,8 +202,8 @@ def test_fuzz_parallel_equals_serial(fuzz_count):
             [create(name, trace) for name in names]).run(trace)
         assert serial.ok, (trial, serial.failures)
         workers = rng.randrange(1, 5)
-        parallel = ParallelRunner(
-            names, trace, workers=workers,
+        parallel = MultiRunner(
+            [create(name, trace) for name in names], workers=workers,
             chunk_events=rng.choice((5, 64, 8192))).run(trace)
         assert parallel.ok, (trial, parallel.failures)
         assert parallel.events_processed == serial.events_processed == \

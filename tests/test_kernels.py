@@ -9,9 +9,10 @@ Two contracts:
   randomized workloads, chunk sizes (down to 1), and analysis subsets,
   and the engine must auto-select the pure-Python path when numpy is
   unavailable (``REPRO_NO_NUMPY=1``).
-* **Interrupt hygiene**: Ctrl-C through ``ParallelRunner`` and ``repro
-  serve`` yields a partial summary with every worker reaped and every
-  shared-memory segment unlinked — no leaked processes or segments.
+* **Interrupt hygiene**: Ctrl-C through a sharded ``MultiRunner`` and
+  ``repro serve`` yields a partial summary with every worker reaped and
+  every shared-memory segment unlinked — no leaked processes or
+  segments.
 """
 
 import json
@@ -26,7 +27,6 @@ import pytest
 
 from repro.core.engine import MultiRunner
 from repro.core.kernels import kernels_available
-from repro.core.parallel import ParallelRunner
 from repro.core.registry import ANALYSIS_NAMES, create
 from repro.workloads import WorkloadSpec, generate_trace
 
@@ -173,6 +173,47 @@ class TestDifferentialFuzz:
               for entry, analysis in zip(result.entries, analyses)}
         assert on == _run(trace, EPOCH_TIERS, False, 48)
 
+    def test_snapshot_logs_stay_bounded_on_sync_light_feed(self,
+                                                          monkeypatch):
+        """On a long sync-light feed every chunk takes the kernel, whose
+        per-thread snapshot logs gain an entry per walked acquire or
+        release.  They are compacted once they outgrow the slots left to
+        repair, so after any chunk they hold at most dirty-set size +
+        width + that chunk's sync events — and the reports and metadata
+        stay those of the scalar pass."""
+        from repro.core import engine
+        from repro.trace.event import ACQUIRE, RELEASE
+
+        # every chunk through the kernel: no handler chunk restarts logs
+        monkeypatch.setattr(engine, "KERNEL_MAX_SYNC_SHARE", 1.0)
+
+        trace = generate_trace(WorkloadSpec(
+            name="sync-light", threads=8, events=30000, locks=16,
+            shared_vars=64, local_vars=16, p_cs=0.03, read_fraction=0.75,
+            burst=8.0, p_volatile=0.002, predictive_races=2, hb_races=2,
+            seed=5))
+        chunk = 1024
+        analysis = create("st-wdc", trace)
+        session = MultiRunner([analysis], chunk_events=chunk,
+                              use_kernels=True).session()
+        kernel = session.entries[0].kernel
+        events = trace.events
+        walked = 0
+        for start in range(0, len(events), chunk):
+            piece = events[start:start + chunk]
+            session.feed(piece)
+            syncs = sum(1 for e in piece if e.kind in (ACQUIRE, RELEASE))
+            walked += syncs
+            logged = sum(map(len, kernel._log_times))
+            assert logged <= len(kernel._dirty) + analysis.width + syncs
+        assert walked > 10 * analysis.width  # the logs had room to grow
+        result = session.finish()
+        report = result.entries[0].report
+        got = {"st-wdc": (_race_key(report), report.dynamic_count,
+                          report.static_count, report.peak_footprint_bytes,
+                          _state_of(analysis))}
+        assert got == _run(trace, ["st-wdc"], False, chunk)
+
     def test_checkpoint_resume_keeps_cs_list_slots(self, monkeypatch):
         """Kernels rebuilt on a restored session re-derive only the
         CS-list slots that their own fast accesses committed, so the
@@ -299,8 +340,9 @@ class TestParallelInterrupt:
                     raise KeyboardInterrupt
                 yield event
 
-        runner = ParallelRunner(["st-wdc", "fto-hb"], workload, workers=2,
-                                chunk_events=512)
+        runner = MultiRunner([create(name, workload)
+                              for name in ("st-wdc", "fto-hb")],
+                             workers=2, chunk_events=512)
         session = runner.session()
         with pytest.raises(KeyboardInterrupt):
             for _ in session.drain(interrupted_source(), window=512):
@@ -329,8 +371,9 @@ class TestParallelInterrupt:
     def test_workers_ignore_sigint(self, workload):
         """A Ctrl-C fans out to the whole process group; workers must
         shrug it off and keep draining so the parent can collect."""
-        runner = ParallelRunner(["st-wdc", "fto-hb"], workload, workers=2,
-                                chunk_events=512)
+        runner = MultiRunner([create(name, workload)
+                              for name in ("st-wdc", "fto-hb")],
+                             workers=2, chunk_events=512)
         session = runner.session()
         time.sleep(0.5)  # let workers install their SIGINT handler
         for shard in session._shards:

@@ -416,6 +416,43 @@ class TestParallelTenants:
             assert state == "complete" and events == len(avrora)
             assert body == solo_summary(avrora)
 
+    def test_workers_resume_emits_every_race_live(self, tmp_path, avrora):
+        # each connection's drain ends at a barrier with the workers, so
+        # every race of the events it fed is printed live — before the
+        # connection is released, and before the summary
+        analyses = ["st-wdc", "fto-hb"]
+        expected = run_analyses(avrora, analyses)
+        cut = len(avrora) // 2
+        with _Server(tmp_path, analyses=analyses, workers=2,
+                     emit="jsonl") as srv:
+            sock, _ = _hello_conn(srv.addr, "par", total=len(avrora))
+            _send_binary_events(sock, avrora, avrora.events[:cut])
+            _wait_for(lambda: srv.app.sessions["par"].events_acked >= cut,
+                      what="first half applied")
+            _abort(sock)
+            _wait_for(lambda: srv.session_state("par") == "detached",
+                      what="detach")
+            first = [json.loads(line) for line in
+                     srv.out.getvalue().splitlines()]
+            assert sorted((d["analysis"], d["event"]) for d in first) == \
+                sorted((name, race.index) for name in analyses
+                       for race in expected.report(name).races
+                       if race.index < cut)
+            send_trace(avrora, srv.addr, tenant="par")
+            _wait_for(lambda: '"type": "summary"' in srv.out.getvalue(),
+                      what="jsonl summary")
+        lines = [json.loads(line)
+                 for line in srv.out.getvalue().splitlines()]
+        kinds = [line["type"] for line in lines]
+        assert "race" not in kinds[kinds.index("session"):]
+        for name in analyses:
+            live = [line["event"] for line in lines
+                    if line["type"] == "race" and line["analysis"] == name]
+            assert live == [r.index for r in expected.report(name).races]
+            summary = [line for line in lines if line["type"] == "summary"
+                       and line["analysis"] == name]
+            assert summary[0]["dynamic"] == len(live) > 0
+
 
 def _reply_server(payload):
     """A one-shot TCP 'control server': accepts one connection, reads

@@ -19,7 +19,8 @@ import time
 
 import pytest
 
-from repro.core.parallel import ParallelRunner
+from repro.core.engine import MultiRunner
+from repro.core.registry import create
 from repro.trace.live import send_trace
 from repro.workloads import figure1
 from repro.workloads.dacapo import dacapo_trace
@@ -64,7 +65,8 @@ def test_concurrent_producers_match_solo_and_leak_nothing(tmp_path):
     # Warm up multiprocessing's one-time global state (resource tracker
     # and its pipe) so the fd baseline below measures *our* leaks only.
     tiny = figure1()
-    ParallelRunner(list(analyses), tiny, workers=2).run(tiny)
+    MultiRunner([create(name, tiny) for name in analyses],
+                workers=2).run(tiny)
 
     fd_before = _open_fds()
     threads_before = threading.active_count()

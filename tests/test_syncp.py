@@ -205,13 +205,13 @@ class TestWindowMode:
             assert full.report(name).racy_vars == {0}, name
 
     def test_window_events_validated(self):
-        from repro.core.parallel import ParallelRunner
         trace = straddle_trace(4)
         for bad in (0, -3):
             with pytest.raises(ValueError, match="window_events"):
                 MultiRunner([create("sp", trace)], window_events=bad)
             with pytest.raises(ValueError, match="window_events"):
-                ParallelRunner(["sp"], trace, window_events=bad)
+                MultiRunner([create("sp", trace), create("st-wdc", trace)],
+                            window_events=bad, workers=2)
 
     def test_cli_rejects_nonpositive_window(self, tmp_path, capsys):
         path = str(tmp_path / "t.trace")
@@ -243,16 +243,15 @@ class TestWindowMode:
         capsys.readouterr()
 
     def test_serial_equals_parallel_under_window(self):
-        from repro.core.parallel import ParallelRunner
         rng = random.Random(0x51DE)
         for trial in range(6):
             trace = random_trace(rng, n_events=rng.randrange(50, 160))
             window = rng.choice([7, 16, 33])
             serial = MultiRunner([create(n, trace) for n in ALL_ANALYSES],
                                  window_events=window).run(trace)
-            par = ParallelRunner(ALL_ANALYSES, trace,
-                                 workers=rng.randrange(2, 5),
-                                 window_events=window).run(trace)
+            par = MultiRunner([create(n, trace) for n in ALL_ANALYSES],
+                              workers=rng.randrange(2, 5),
+                              window_events=window).run(trace)
             assert par.ok, par.failures
             for name in ALL_ANALYSES:
                 assert _race_key(par.report(name)) == \
