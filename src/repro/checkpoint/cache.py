@@ -38,8 +38,7 @@ import io
 import json
 import os
 import sys
-from itertools import islice
-from typing import Iterator, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.checkpoint.state import (
     STATE_VERSION,
@@ -51,14 +50,15 @@ from repro.core.engine import MultiRunner
 from repro.core.kernels import KERNELS_VERSION
 from repro.core.registry import create
 from repro.reporting import print_entries
-from repro.trace.event import Event
-from repro.trace.format import parse_event_line, stream_trace
+from repro.trace.binfmt import BinaryTraceStream
+from repro.trace.format import TraceStream, stream_trace
 from repro.trace.segments import (
     SEGMENT_EVENTS,
     TraceSegments,
     match_events,
     segment_trace,
 )
+from repro.trace.stream import TraceStreamBase
 
 __all__ = [
     "CACHE_SCHEMA",
@@ -79,48 +79,29 @@ def _key(*parts) -> str:
     return hashlib.sha256(blob).hexdigest()[:32]
 
 
-def _suffix_events(path: str, segs: TraceSegments,
-                   from_events: int) -> Iterator[Event]:
-    """Iterate the trace's events from the segment boundary at
-    ``from_events`` (a multiple of the segment size covered by
-    ``segs.boundaries``) — seeking straight to the boundary's byte
-    offset, so the skipped prefix is never parsed."""
-    if from_events == 0:
-        stream = stream_trace(path)
-        return iter(stream)
+def _suffix_stream(path: str, segs: TraceSegments,
+                   from_events: int) -> TraceStreamBase:
+    """The trace from the segment boundary at ``from_events`` (a
+    positive multiple of the segment size covered by
+    ``segs.boundaries``), opened with the format's ordinary reader and
+    seeked straight to the boundary's byte offset, so the skipped prefix
+    is never parsed.  The binary reader gets the real header, re-read
+    from the file, as its sniffed prefix; the text reader starts at the
+    boundary line, and a comment or blank line there stays one."""
     offset = segs.header_end + segs.boundaries[
         from_events // segs.segment_events - 1]
-    remaining = segs.total_events - from_events
-    if segs.fmt == "binary-v2":
-        from repro.trace.binfmt import BinaryTraceStream
-
-        # hand the reader the real header (re-read from the file) as its
-        # sniffed prefix, with the handle already seeked to the suffix
-        fp = open(path, "rb")
-        try:
+    fp = open(path, "rb")
+    try:
+        if segs.fmt == "binary-v2":
             header = fp.read(segs.header_end)
             fp.seek(offset)
-        except BaseException:
-            fp.close()
-            raise
-        stream = BinaryTraceStream(fp, owns_fp=True, prefix=header)
-        return islice(iter(stream), remaining)
-
-    def _text() -> Iterator[Event]:
-        fp = open(path, "rb")
+            return BinaryTraceStream(fp, owns_fp=True, prefix=header)
         fp.seek(offset)
-        text = io.TextIOWrapper(fp, encoding="utf-8")
-        try:
-            lineno = 0
-            for line in text:
-                lineno += 1
-                event = parse_event_line(line, lineno)
-                if event is not None:
-                    yield event
-        finally:
-            text.close()
-
-    return islice(_text(), remaining)
+        return TraceStream(io.TextIOWrapper(fp, encoding="utf-8"),
+                           owns_fp=True)
+    except BaseException:
+        fp.close()
+        raise
 
 
 class ResultCache:
@@ -271,23 +252,27 @@ def analyze_cached(cache_dir: str, trace_path: str,
         except CheckpointError:
             session = None  # unreadable checkpoint: fall back to cold
             resumed_from = 0
+    boundary = (total // segment_events) * segment_events
     if session is None:
-        stream = stream_trace(trace_path)
-        info = stream.require_info()
-        runner = MultiRunner([create(name, info) for name in analyses])
-        session = runner.session()
-        source = stream  # read by columns, across both feeds below
+        source = stream_trace(trace_path)
+        rest = None  # a cold pass reads to the end, as analyze does
     else:
-        source = _suffix_events(trace_path, segs, resumed_from)
-
+        source = _suffix_stream(trace_path, segs, resumed_from)
+        # the binary header counts the whole trace: stop the suffix at
+        # the trace's event count, where the segment scan stopped
+        rest = total - boundary
     # replay to the newest segment boundary, checkpoint there (so the
     # next append resumes within one segment of this trace's end), then
     # replay the partial tail
-    boundary = (total // segment_events) * segment_events
-    if boundary > resumed_from:
-        session.feed(source, max_events=boundary - resumed_from)
-        cache.store_checkpoint(cfg, session, boundary, segs, analyses)
-    session.feed(source)
+    with source:
+        if session is None:
+            info = source.require_info()
+            session = MultiRunner(
+                [create(name, info) for name in analyses]).session()
+        if boundary > resumed_from:
+            session.feed(source, max_events=boundary - resumed_from)
+            cache.store_checkpoint(cfg, session, boundary, segs, analyses)
+        session.feed(source, max_events=rest)
     result = session.finish()
 
     buf = io.StringIO()

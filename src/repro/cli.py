@@ -567,7 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "distinct from --window, the feed "
                             "granularity)")
     add_workers(serve, "served analyses")
-    serve.set_defaults(func=_cmd_serve, memory=False)
+    serve.set_defaults(func=_cmd_serve)
 
     status = sub.add_parser(
         "status",

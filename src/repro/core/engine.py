@@ -465,9 +465,12 @@ class EngineSession:
                 cols, n, error, exhausted = read_chunk(source, limit)
                 if n:
                     base = self._events_seen
-                    self._events_seen = base + n
                     (indices, kinds, tids, targets, sites, m,
                      arrays) = filter_chunk(cols, n, base, filt, vector)
+                    # counted once filtered, before the replay (a sharded
+                    # session broadcasts the count with the chunk): an
+                    # exception in the filter leaves the chunk uncounted
+                    self._events_seen = base + n
                     if m:
                         self._replay_chunk(indices, kinds, tids, targets,
                                            sites, m, arrays)
@@ -1074,8 +1077,7 @@ def run_analyses(trace: Union[Trace, TraceInfo], names: Sequence[str],
 
 def run_stream(source, names: Sequence[str], sample_every: int = 0,
                progress: Optional[Callable[[int], None]] = None,
-               window_events: int = 0, workers: int = 1,
-               evict_window: int = 0) -> MultiResult:
+               workers: int = 1, evict_window: int = 0) -> MultiResult:
     """Analyze a trace file (or open handle) in one streaming pass.
 
     The trace — v1 text or v2 binary, autodetected from the leading
@@ -1085,12 +1087,6 @@ def run_stream(source, names: Sequence[str], sample_every: int = 0,
     both written by :func:`repro.trace.format.dump_trace`);
     :class:`repro.trace.format.TraceFormatError` is raised otherwise.
 
-    ``window_events`` > 0 drains the stream through an incremental
-    session in bounded windows — exactly how a live ``repro serve``
-    loop consumes a socket — instead of one uninterrupted feed.
-    Reports are identical either way; the knob exists to measure the
-    online path against the one-shot pass on the same capture.
-
     ``workers`` > 1 shards the analyses across that many worker
     processes (``MultiRunner(workers=...)``): this process still parses
     the file exactly once, and the reports — and ``progress`` calls —
@@ -1099,8 +1095,7 @@ def run_stream(source, names: Sequence[str], sample_every: int = 0,
     ``evict_window`` > 0 turns on the engine's bounded-window mode
     (``MultiRunner(window_events=...)``): per-variable metadata older
     than that many events is aged out, trading long-range races for
-    bounded state.  Distinct from ``window_events``, which only sets
-    the drain granularity and never changes reports.
+    bounded state.
     """
     from repro.trace.format import stream_trace
 
@@ -1113,13 +1108,4 @@ def run_stream(source, names: Sequence[str], sample_every: int = 0,
                              window_events=(evict_window if evict_window > 0
                                             else None),
                              workers=workers)
-        if window_events <= 0:
-            return runner.run(stream)
-        session = runner.session()
-        try:
-            for _ in session.drain(stream, window=window_events):
-                pass
-        except BaseException:
-            session.close()
-            raise
-        return session.finish()
+        return runner.run(stream)

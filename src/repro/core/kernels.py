@@ -313,6 +313,21 @@ def _commit_last(col, mask_s, xs, es, end_pos, gend, arange1):
     return (), ()
 
 
+def _columns_fit(analysis, plan: ChunkPlan) -> bool:
+    """Grow the analysis' per-variable columns to the chunk's largest
+    access target.  False when they cannot grow that far (a variable id
+    far past the trace's others): the kernel then hands the chunk to
+    the per-event handlers, whose growth fails at the event that needs
+    it, so the failure carries its event index."""
+    need = plan.max_target() + 1
+    if need > len(analysis._read):
+        try:
+            analysis._grow_vars(need)
+        except (MemoryError, OverflowError):
+            return False
+    return True
+
+
 # -- per-analysis kernels ----------------------------------------------------
 
 class HbEpochKernel:
@@ -348,14 +363,11 @@ class HbEpochKernel:
         tv = plan.tv
         cc = a.cc
         width = a.width
-        if not plan.tids_in_range(width):
+        if not (plan.tids_in_range(width) and _columns_fit(a, plan)):
             self._walk(plan, list(range(n)))
             return
         base = np.fromiter((cc[u][u] for u in range(width)), np.int64,
                            count=width)
-        maxx = plan.max_target()
-        if maxx >= len(a._read):
-            a._grow_vars(maxx + 1)
         R = np.frombuffer(a._read, dtype=np.int64)
         W = np.frombuffer(a._write, dtype=np.int64)
         CMf = np.array([list(c) for c in cc], dtype=np.int64).ravel()
@@ -504,13 +516,10 @@ class StKernel:
             self._resume()
         tv = plan.tv
         width = a.width
-        if not plan.tids_in_range(width):
+        if not (plan.tids_in_range(width) and _columns_fit(a, plan)):
             self._walk(plan, list(range(n)))
             return
         base = self._times()
-        maxx = plan.max_target()
-        if maxx >= len(a._read):
-            a._grow_vars(maxx + 1)
         # The three SmartTrack tiers bump identically and usually carry
         # byte-identical last-access columns (they only diverge when a
         # relation-specific residual lands in E^r/E^w, which flips an
@@ -744,22 +753,38 @@ class VecSameEpochFilter:
         self._base = np.arange(width, dtype=np.int64)
         self._last_r = np.full(1, -1, dtype=np.int64)
         self._last_w = np.full(1, -1, dtype=np.int64)
+        #: the pure-Python twin holding the state once the arrays could
+        #: not grow to a variable id (see :meth:`_grow`)
+        self._twin = None
 
-    def _grow(self, need: int) -> None:
+    def _grow(self, need: int) -> bool:
+        """Grow the per-variable arrays to ``need`` slots.  When they
+        cannot grow that far (a variable id far past the trace's
+        others), hand the state to a :class:`SameEpochFilter`, whose
+        dicts hold only the variables seen, and return False."""
         have = len(self._last_r)
         if need > have:
             size = max(need, 2 * have)
-            for attr in ("_last_r", "_last_w"):
-                old = getattr(self, attr)
-                new = np.full(size, -1, dtype=np.int64)
-                new[:have] = old
-                setattr(self, attr, new)
+            try:
+                last_r = np.full(size, -1, dtype=np.int64)
+                last_w = np.full(size, -1, dtype=np.int64)
+            except (MemoryError, ValueError):
+                twin = SameEpochFilter(self._ender_lut.tolist())
+                twin.seed_state(*self.export_state())
+                self._twin = twin
+                return False
+            last_r[:have] = self._last_r
+            last_w[:have] = self._last_w
+            self._last_r, self._last_w = last_r, last_w
+        return True
 
     def export_state(self):
         """The filter's cross-chunk state as three plain dicts — the
         representation :class:`SameEpochFilter` keeps — so a checkpoint
         (:mod:`repro.checkpoint`) is numpy-free and restores into either
         filter implementation."""
+        if self._twin is not None:
+            return self._twin.export_state()
         toks = {t: int(v) for t, v in enumerate(self._base) if v != t}
         last_r = {x: int(v) for x, v in enumerate(self._last_r) if v != -1}
         last_w = {x: int(v) for x, v in enumerate(self._last_w) if v != -1}
@@ -771,8 +796,9 @@ class VecSameEpochFilter:
         for t, v in toks.items():
             self._base[t] = v
         top = max(max(last_r, default=-1), max(last_w, default=-1))
-        if top >= 0:
-            self._grow(top + 1)
+        if not self._grow(top + 1):
+            self._twin.seed_state(toks, last_r, last_w)
+            return
         for x, v in last_r.items():
             self._last_r[x] = v
         for x, v in last_w.items():
@@ -785,6 +811,8 @@ class VecSameEpochFilter:
         n = len(kv)
         if not n:
             return None
+        if self._twin is not None:
+            return self._twin_keep(kv, tv, xv)
         if int(tv.min()) < 0 or int(tv.max()) >= self.width:
             # out-of-range tid (malformed feed): keep everything and let
             # the analyses surface the error per entry, as the scalar
@@ -798,7 +826,8 @@ class VecSameEpochFilter:
         acc = is_rd | is_wr
         drop = np.zeros(n, bool)
         if acc.any():
-            self._grow(int(xv[acc].max()) + 1)
+            if not self._grow(int(xv[acc].max()) + 1):
+                return self._twin_keep(kv, tv, xv)
             last_r = self._last_r
             last_w = self._last_w
             # pass 1: writes against the per-variable write stream
@@ -853,6 +882,14 @@ class VecSameEpochFilter:
         if not drop.any():
             return None
         return np.flatnonzero(~drop)
+
+    def _twin_keep(self, kv, tv, xv):
+        """:meth:`keep` through the pure-Python twin of :meth:`_grow`."""
+        n = len(kv)
+        kept = list(range(n))
+        m = self._twin.apply(kept, kv.tolist(), tv.tolist(), xv.tolist(),
+                             [0] * n, n)
+        return None if m == n else np.array(kept[:m], dtype=np.int64)
 
     def apply(self, indices, kinds, tids, targets, sites, n: int) -> int:
         """Filter one chunk of Python list columns in place; returns the

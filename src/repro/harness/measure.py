@@ -148,7 +148,6 @@ def measure_multi(trace: Trace, analysis_names: Sequence[str],
 def measure_stream(source, analysis_names: Sequence[str],
                    program: str = "",
                    sample_every: int = 4096,
-                   window_events: int = 0,
                    workers: int = 1) -> MultiMeasureResult:
     """Time one bounded-memory streaming pass over a recorded trace file.
 
@@ -157,13 +156,6 @@ def measure_stream(source, analysis_names: Sequence[str],
     capture measures meaningfully cheaper).  The baseline here is 0
     (there is no materialized trace to walk); ``seconds`` includes lazy
     parsing, which is the honest cost of the offline workflow.
-
-    ``window_events`` > 0 switches to the session-backed incremental
-    path (:meth:`repro.core.engine.MultiRunner.session`): the stream is
-    drained in windows of that many events, exactly as a live ``repro
-    serve`` loop drains a socket.  Reports are identical either way;
-    the knob exists to measure the online path's overhead against the
-    one-shot pass on the same capture.
 
     ``workers`` > 1 shards the analyses across worker processes
     (``MultiRunner(workers=...)``); ``seconds`` then covers the whole
@@ -174,7 +166,7 @@ def measure_stream(source, analysis_names: Sequence[str],
     names = list(analysis_names)
     t0 = time.perf_counter()
     result = run_stream(source, names, sample_every=sample_every,
-                        window_events=window_events, workers=workers)
+                        workers=workers)
     seconds = time.perf_counter() - t0
     return MultiMeasureResult(
         program=program, analyses=names, events=result.events_processed,

@@ -32,12 +32,11 @@ import socket
 import sys
 import threading
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.reporting import (emit_live_race, emit_summary_jsonl,
                              print_entries)
-from repro.server.session import (ATTACHED, COMPLETE, DETACHED, FAILED,
-                                  TenantSession)
+from repro.server.session import ATTACHED, DETACHED, FAILED, TenantSession
 from repro.trace.live import (SocketTraceSource, TraceListener,
                               format_refuse, format_welcome, parse_endpoint,
                               read_handshake)
@@ -72,33 +71,16 @@ class ServerConfig:
     timeout: Optional[float] = None
     emit: str = "text"
     max_races: int = 10
-    memory: bool = False
     multi: bool = False
     max_pending_races: Optional[int] = None
     resume_grace: float = 30.0
     idle_ttl: float = 300.0
     retain_races: int = 256
     accept_poll: float = 0.25
-    control: bool = True
     #: bounded-window mode: age out per-variable analysis metadata older
     #: than this many events (None = keep everything forever); with
     #: ``max_pending_races`` this gives bounded state on infinite feeds
     window_events: Optional[int] = None
-
-
-def control_endpoint_for(listener_address) -> Optional[str]:
-    """The control endpoint derived from a bound trace endpoint: the
-    ``<path>.ctl`` sidecar for Unix sockets, ``port+1`` for TCP (the
-    server falls back to an ephemeral port if taken, and prints the
-    real one in its banner).  ``None`` when no port can be derived — a
-    listener on port 65535 has no ``port+1``; the control socket is
-    ephemeral and only the banner knows its address."""
-    if isinstance(listener_address, str):
-        return listener_address + ".ctl"
-    host, port = listener_address
-    if not 0 < port + 1 <= 65535:
-        return None
-    return "{}:{}".format(host, port + 1)
 
 
 class ServerApp:
@@ -153,13 +135,11 @@ class ServerApp:
         config = self.config
         listener = TraceListener(config.endpoint, backlog=16)
         self._listener = listener
-        ctl_thread = None
-        if config.control:
-            ctl_thread = self._start_control(listener.address)
-        self._log("serving on {} (analyses: {}; multi-tenant{})".format(
-            listener.describe(), ", ".join(config.analyses),
-            "; control: {}".format(self.control_address)
-            if self.control_address else ""))
+        ctl_thread = self._start_control(listener.describe())
+        self._log("serving on {} (analyses: {}; multi-tenant; control: "
+                  "{})".format(listener.describe(),
+                               ", ".join(config.analyses),
+                               self.control_address))
         interrupted = False
         try:
             while not self._stop.is_set():
@@ -191,8 +171,7 @@ class ServerApp:
                 pass
         for thread in self._threads:
             thread.join(timeout=5.0)
-        if ctl_thread is not None:
-            ctl_thread.join(timeout=5.0)
+        ctl_thread.join(timeout=5.0)
         self._close_control()
         self._seal_all()
         if interrupted:
@@ -205,11 +184,7 @@ class ServerApp:
         with self._registry_lock:
             sessions = list(self.sessions.values())
         for sess in sessions:
-            if not sess.sealed:
-                failed = (sess.error is not None
-                          or (sess.expected_total is not None
-                              and sess.events_acked < sess.expected_total))
-                self._seal(sess, failed=failed)
+            self._seal(sess)
 
     # -- housekeeping tick -------------------------------------------------
     def _sweep(self) -> None:
@@ -224,12 +199,9 @@ class ServerApp:
                 idle = now - sess.last_active
             if state == DETACHED and idle > config.resume_grace \
                     and sess.reconnects >= 0:
-                failed = (sess.error is not None
-                          or (sess.expected_total is not None
-                              and sess.events_acked < sess.expected_total))
                 self._log("tenant {}: resume grace expired after {} "
                           "events".format(name, sess.events_acked))
-                self._seal(sess, failed=failed, only_if_detached=True)
+                self._seal(sess, only_if_detached=True)
             elif sess.sealed and idle > config.idle_ttl:
                 with self._registry_lock:
                     if self.sessions.get(name) is sess:
@@ -251,76 +223,54 @@ class ServerApp:
                 self._live_conns.discard(conn)
 
     def _serve_conn(self, conn: socket.socket) -> None:
+        """Serve one producer connection.  Handshake, attach, header,
+        engine build and feed run in one block; what ended it — None
+        for a clean EOF, else the exception it raised — reaches
+        :meth:`_end_connection` exactly once when a session was
+        attached.  A connection refused or rejected before attaching
+        has no session to end."""
+        config = self.config
+        sess: Optional[TenantSession] = None
         source = None
-        sess = None
+        error: Optional[Exception] = None
         self._track(conn, True)
         try:
             try:
-                hello, prefix = read_handshake(conn, self.config.timeout)
-            except (TraceFormatError, OSError) as exc:
-                self._log("rejected connection: {}".format(exc))
-                return
-            if hello is None:
-                sess = TenantSession(self._next_anon(), self.config,
-                                     anonymous=True)
+                hello, prefix = read_handshake(conn, config.timeout)
+                name = self._next_anon() if hello is None \
+                    else hello["tenant"]
                 with self._registry_lock:
-                    self.sessions[sess.name] = sess
-                sess.try_attach(None)
-            else:
-                with self._registry_lock:
-                    sess = self.sessions.get(hello["tenant"])
-                    if sess is None:
-                        sess = TenantSession(hello["tenant"], self.config)
-                        self.sessions[sess.name] = sess
-                ok, outcome = sess.try_attach(hello)
+                    tenant = self.sessions.get(name)
+                    if tenant is None:
+                        tenant = self.sessions[name] = TenantSession(
+                            name, config, anonymous=hello is None)
+                ok, outcome = tenant.try_attach(hello)
                 if not ok:
                     self._log("tenant {}: refused ({})".format(
-                        sess.name, outcome))
-                    try:
-                        conn.sendall(format_refuse(outcome))
-                    except OSError:
-                        pass
-                    sess = None  # not ours to detach
-                    return
-                try:
-                    conn.sendall(format_welcome(outcome))
-                except OSError as exc:
-                    self._finish_conn(sess, exc)
-                    sess = None
-                    return
-                if sess.reconnects > 0:
-                    self._log("tenant {}: resumed at event {}".format(
-                        sess.name, outcome))
-            feed_error: Optional[BaseException] = None
-            try:
-                # the constructor itself parses the wire header, so a
-                # producer dying mid-header lands here too
-                source = SocketTraceSource(conn,
-                                           timeout=self.config.timeout,
-                                           prefix=prefix)
-                info = source.require_info()
-                engine_error = sess.ensure_engine(info)
-                if engine_error is not None:
-                    if sess.session is None:
-                        # never analyzable: seal now, nothing to resume
-                        self._log("tenant {}: {}".format(
-                            sess.name, engine_error))
-                        sess.detach(error=TraceFormatError(engine_error))
-                        self._seal(sess, failed=True)
-                        sess = None
-                        return
-                    feed_error = TraceFormatError(engine_error)
+                        name, outcome))
+                    conn.sendall(format_refuse(outcome))
                 else:
-                    for name, race in sess.pump(source):
-                        self._emit_race(sess, name, race)
-            except (TraceFormatError, OSError) as exc:
-                feed_error = exc
-            self._finish_conn(sess, feed_error)
-            sess = None
+                    sess = tenant
+                    if hello is not None:
+                        conn.sendall(format_welcome(outcome))
+                        if sess.reconnects:
+                            self._log("tenant {}: resumed at event "
+                                      "{}".format(name, outcome))
+                    # the constructor parses the wire header, so a
+                    # producer dying mid-header ends the block here
+                    source = SocketTraceSource(conn, timeout=config.timeout,
+                                               prefix=prefix)
+                    sess.ensure_engine(source.require_info())
+                    for analysis, race in sess.pump(source):
+                        self._emit_race(sess, analysis, race)
+            except Exception as exc:  # end_connection sorts it out
+                error = exc
+            if sess is not None:
+                self._end_connection(sess, error)
+            elif error is not None:
+                self._log("rejected connection: {}".format(error))
         finally:
             self._track(conn, False)
-            if sess is not None:
-                self._finish_conn(sess, None)
             if source is not None:
                 source.close()
             else:
@@ -329,22 +279,23 @@ class ServerApp:
                 except OSError:
                     pass
 
-    def _finish_conn(self, sess: TenantSession,
-                     error: Optional[BaseException]) -> None:
-        """Route one ended connection to its disposition."""
-        disposition = sess.detach(error=error, clean_eof=error is None)
-        if disposition == "complete":
-            self._seal(sess, failed=False)
-        elif disposition == "failed":
-            self._log("tenant {}: feed failed after {} events: {}".format(
-                sess.name, sess.events_acked, error))
-            self._seal(sess, failed=True)
-        else:
+    def _end_connection(self, sess: TenantSession,
+                        error: Optional[Exception]) -> None:
+        """Log what :meth:`TenantSession.end_connection` decided for an
+        ended connection, and seal the session unless it awaits a
+        resume."""
+        disposition = sess.end_connection(error)
+        if disposition == DETACHED:
             self._log("tenant {}: detached at event {}{} (resume within "
                       "{:.0f}s)".format(
                           sess.name, sess.events_acked,
                           "" if error is None else " ({})".format(error),
                           self.config.resume_grace))
+            return
+        if disposition == FAILED:
+            self._log("tenant {}: feed failed after {} events: {!r}".format(
+                sess.name, sess.events_acked, error))
+        self._seal(sess)
 
     # -- output ------------------------------------------------------------
     def _emit_race(self, sess: TenantSession, name: str, race) -> None:
@@ -352,9 +303,10 @@ class ServerApp:
             emit_live_race(name, race, self.config.emit == "jsonl",
                            tenant=sess.name, out=self.out)
 
-    def _seal(self, sess: TenantSession, failed: bool,
+    def _seal(self, sess: TenantSession,
               only_if_detached: bool = False) -> None:
-        """Seal one session and print its summary block exactly once.
+        """Seal one session and print its summary block exactly once
+        (:meth:`TenantSession.finalize` decides complete or failed).
 
         ``only_if_detached`` is the sweep's guard: between its state
         snapshot and this call a producer may have resumed, and an
@@ -366,7 +318,7 @@ class ServerApp:
             if only_if_detached and sess.state == ATTACHED:
                 return
             sess.seal_claimed = True
-        result = sess.finalize(failed=failed)
+        result = sess.finalize()
         config = self.config
         block = io.StringIO()
         if config.emit == "jsonl":
@@ -383,7 +335,7 @@ class ServerApp:
                 0 if result is None else result.events_processed),
                 file=block)
             races = (print_entries(result, max_races=config.max_races,
-                                   memory=config.memory, out=block)
+                                   out=block)
                      if result is not None else 0)
             print("--- end tenant {} ---".format(sess.name), file=block)
         with self._print_lock:
@@ -426,10 +378,17 @@ class ServerApp:
         }
 
     # -- control socket ----------------------------------------------------
-    def _start_control(self, listener_address) -> threading.Thread:
-        kind, _ = parse_endpoint(self.config.endpoint)
+    def _start_control(self, endpoint: str) -> threading.Thread:
+        """Bind the MI control socket at :func:`mi.control_endpoint
+        <repro.server.mi.control_endpoint>` of the bound trace
+        ``endpoint``.  A TCP server with no ``port+1`` to derive, or
+        whose ``port+1`` is taken, binds an ephemeral port instead; the
+        banner prints the real address."""
+        from repro.server import mi
+
+        kind, addr = parse_endpoint(endpoint)
         if kind == "unix":
-            path = listener_address + ".ctl"
+            path = mi.control_endpoint(endpoint)
             try:
                 os.unlink(path)
             except OSError:
@@ -439,19 +398,12 @@ class ServerApp:
             self._ctl_path = path
             self.control_address = path
         else:
-            host, port = listener_address
             sock = socket.socket(socket.AF_INET)
             sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            if 0 < port + 1 <= 65535:
-                try:
-                    sock.bind((host, port + 1))
-                except OSError:
-                    sock.bind((host, 0))
-            else:
-                # a listener on 65535 has no port+1 — binding it would
-                # raise OverflowError (which the OSError fallback never
-                # caught, crashing the server); go straight to ephemeral
-                sock.bind((host, 0))
+            try:
+                sock.bind(parse_endpoint(mi.control_endpoint(endpoint))[1])
+            except (ValueError, OSError):
+                sock.bind((addr[0], 0))
             self.control_address = "{}:{}".format(*sock.getsockname()[:2])
         sock.listen(8)
         sock.settimeout(self.config.accept_poll)
@@ -556,8 +508,7 @@ def run_single(config: ServerConfig) -> int:
     if emit_json:
         races_found = emit_summary_jsonl(result)
     else:
-        races_found = print_entries(result, max_races=config.max_races,
-                                    memory=config.memory)
+        races_found = print_entries(result, max_races=config.max_races)
     if interrupted:
         print("interrupted after {} events; partial summary above".format(
             result.events_processed), file=sys.stderr)

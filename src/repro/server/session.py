@@ -4,12 +4,11 @@ A :class:`TenantSession` is the unit the server's registry holds: the
 analysis state for one monitored program, living across any number of
 producer connections.  The state machine is deliberately small::
 
-            attach                    clean EOF (all events in)
-    (new) ----------> ATTACHED ----------------------------> COMPLETE
-              ^          |  feed error / clean EOF short of
-              |          |  the declared total
-              |          v
-              +------ DETACHED --- resume grace expires ---> FAILED
+            attach               connection ends
+    (new) ----------> ATTACHED -----------------> COMPLETE | FAILED
+              ^          |  a named producer gone short of its
+              |          v  total (transport error or clean EOF)
+              +------ DETACHED --- resume grace expires ---> COMPLETE | FAILED
 
 A *detached* session is the whole point of the resume protocol: the
 producer dropped (crash, network, redeploy) but the engine session — an
@@ -19,6 +18,8 @@ mid-stream state, and :attr:`events_acked` is the exact offset a
 reconnecting producer must resend from.  Anonymous producers (no hello
 frame) cannot be addressed again, so their clean EOF completes the
 session and their error fails it immediately.
+
+:meth:`TenantSession.end_connection` holds the rule (DESIGN.md §9.2).
 
 Thread model: the owning :class:`~repro.server.app.ServerApp` runs one
 thread per connection.  ``lock`` guards the attach/detach state and the
@@ -35,7 +36,7 @@ from typing import Iterator, Optional
 
 from repro.core.engine import MultiRunner
 from repro.core.registry import create
-from repro.trace.stream import column_source
+from repro.trace.stream import TraceFormatError, column_source
 from repro.trace.trace import TraceInfo
 
 __all__ = [
@@ -53,9 +54,15 @@ DETACHED = "detached"
 #: All events analyzed; the final :class:`~repro.core.engine.MultiResult`
 #: is sealed.
 COMPLETE = "complete"
-#: Sealed without reaching the declared total (feed error on an
-#: anonymous producer, or the resume grace expired).
+#: Sealed short of the declared total or with an error (see
+#: :attr:`TenantSession.incomplete`).
 FAILED = "failed"
+
+#: Errors that end a connection but leave the engine state sound:
+#: malformed or cut bytes, socket errors and timeouts, and a reconnect
+#: whose header changes the dimensions.  A named tenant stays
+#: resumable after one; any other exception fails the session.
+TRANSPORT_ERRORS = (TraceFormatError, OSError)
 
 #: Sharded sessions fork workers, and the server forks from a thread pool:
 #: a fork taken while *another* connection thread is mid-way through
@@ -98,7 +105,6 @@ class TenantSession:
         self.lock = threading.RLock()
         self.state = DETACHED
         self.info: Optional[TraceInfo] = None
-        self.runner = None
         self.session = None
         self.result = None
         self.error: Optional[BaseException] = None
@@ -156,14 +162,16 @@ class TenantSession:
             self.last_active = self._attach_started
             return True, resume
 
-    def ensure_engine(self, info: TraceInfo) -> Optional[str]:
+    def ensure_engine(self, info: TraceInfo) -> None:
         """Build the engine session from the first connection's header,
         or verify a reconnect's header against it.
 
-        Returns an error string when the engine cannot be built
-        (dimensions the packed epochs cannot represent) or when a
-        reconnecting producer declares different dimensions — either
-        way the feed must not be applied.
+        Raises :class:`ValueError` when the engine cannot be built
+        (dimensions the packed epochs cannot represent), which fails the
+        session, and :class:`~repro.trace.stream.TraceFormatError` when
+        a reconnecting producer declares different dimensions, which
+        only ends its connection.  Either way the feed must not be
+        applied.
         """
         with self.lock:
             if self.info is not None:
@@ -171,23 +179,22 @@ class TenantSession:
                 if any(getattr(old, f) != getattr(new, f)
                        for f in ("num_threads", "num_locks", "num_vars",
                                  "num_volatiles", "num_classes")):
-                    return ("reconnect header declares different trace "
-                            "dimensions than the original feed")
-                return None
+                    raise TraceFormatError(
+                        "reconnect header declares different trace "
+                        "dimensions than the original feed")
+                return
             config = self.config
             try:
                 with _ENGINE_BUILD_LOCK:
-                    self.runner = MultiRunner(
+                    self.session = MultiRunner(
                         [create(name, info) for name in config.analyses],
                         max_pending_races=config.max_pending_races,
                         window_events=config.window_events,
-                        workers=config.workers)
-                    self.session = self.runner.session()
+                        workers=config.workers).session()
             except ValueError as exc:
-                self.runner = None
-                return "cannot analyze this feed: {}".format(exc)
+                raise ValueError(
+                    "cannot analyze this feed: {}".format(exc)) from exc
             self.info = info
-            return None
 
     # -- feeding -----------------------------------------------------------
     def pump(self, source) -> Iterator[tuple]:
@@ -207,13 +214,26 @@ class TenantSession:
                  "kinds": race.kinds})
             yield pair
 
-    # -- detachment and sealing --------------------------------------------
-    def detach(self, error: Optional[BaseException] = None,
-               clean_eof: bool = False) -> str:
-        """Release the attachment after a connection ends; returns the
-        disposition: ``"complete"`` (all events in — seal it),
-        ``"failed"`` (anonymous producer died — seal it), or
-        ``"detached"`` (await a resume within the grace window).
+    # -- ending a connection and sealing ------------------------------------
+    @property
+    def incomplete(self) -> bool:
+        """Whether sealing now fails the session: its feed ended with an
+        error, or short of the total its producer declared."""
+        return self.error is not None or (
+            self.expected_total is not None
+            and self.events_acked < self.expected_total)
+
+    def end_connection(self, error: Optional[BaseException]) -> str:
+        """Release the attachment when its connection ends; returns the
+        disposition.
+
+        ``error`` is what ended the connection, None for a clean EOF.
+        :data:`COMPLETE` and :data:`FAILED` tell the caller to seal the
+        session now; :data:`DETACHED` means it awaits a resume within
+        the grace window.  A transport error (:data:`TRANSPORT_ERRORS`)
+        fails an anonymous session and detaches a named one; any other
+        exception fails either, as the engine state is no longer
+        trusted.
         """
         with self.lock:
             now = time.monotonic()
@@ -221,49 +241,38 @@ class TenantSession:
                 self._active_seconds += now - self._attach_started
                 self._attach_started = None
             self.last_active = now
-            if error is not None:
+            if error is not None and not isinstance(error,
+                                                    TRANSPORT_ERRORS):
                 self.error = error
-            acked = self.events_acked
+                return FAILED
             if self.expected_total is not None \
-                    and acked >= self.expected_total:
+                    and self.events_acked >= self.expected_total:
                 # every declared event was applied: how the connection
                 # died afterwards (late FIN, timeout waiting for bytes
                 # the producer never owed us) is irrelevant
-                return "complete"
-            if error is None and clean_eof:
-                if self.anonymous:
-                    return "complete"
-            elif self.anonymous:
+                return COMPLETE
+            self.error = error
+            if self.anonymous:
                 # an anonymous producer cannot come back for its state
-                return "failed"
+                return FAILED if self.incomplete else COMPLETE
             self.state = DETACHED
-            return "detached"
+            return DETACHED
 
-    def finalize(self, failed: bool = False):
+    def finalize(self):
         """Seal the session: build the final
         :class:`~repro.core.engine.MultiResult` (``None`` when no
-        header ever arrived) and fix the terminal state.  Idempotent.
+        header ever arrived) and fix the terminal state, failed when
+        :attr:`incomplete`.  Idempotent.
         """
         with self.lock:
             if self.sealed:
                 return self.result
             if self.session is not None:
                 self.result = self.session.finish()
-            # `failed` is the caller's disposition verdict; a transient
-            # error from an earlier connection does not fail a session
-            # that went on to complete
-            self.state = FAILED if (failed or self.result is None) \
+            self.state = FAILED if (self.incomplete or self.result is None) \
                 else COMPLETE
             self.last_active = time.monotonic()
             return self.result
-
-    def abandon(self) -> None:
-        """Drop the session without reports (server shutdown teardown
-        for sessions whose summary nobody will read)."""
-        with self.lock:
-            if not self.sealed and self.session is not None:
-                self.session.close()
-            self.state = FAILED
 
     # -- observation -------------------------------------------------------
     def metrics(self) -> dict:

@@ -710,33 +710,32 @@ def read_handshake(conn: socket.socket,
         buf += chunk
     if not buf.startswith(HELLO_MAGIC):
         return None, buf
+    line, rest = _read_frame(conn, buf, "hello frame")
+    return parse_hello(line), rest
+
+
+def _read_frame(sock: socket.socket, buf: bytes,
+                what: str) -> Tuple[bytes, bytes]:
+    """Read one handshake frame line — ``buf`` holds its bytes read so
+    far — bounded by :data:`HANDSHAKE_LIMIT`; returns the line without
+    its newline and the bytes received after it."""
     while b"\n" not in buf:
         if len(buf) > HANDSHAKE_LIMIT:
-            raise TraceFormatError("hello frame exceeds {} bytes".format(
-                HANDSHAKE_LIMIT))
-        chunk = conn.recv(256)
+            raise TraceFormatError("{} exceeds {} bytes".format(
+                what, HANDSHAKE_LIMIT))
+        chunk = sock.recv(256)
         if not chunk:
-            raise TraceFormatError("connection closed mid-hello")
+            raise TraceFormatError("connection closed mid-{}".format(what))
         buf += chunk
-    line, rest = buf.split(b"\n", 1)
-    return parse_hello(line), rest
+    line, _, rest = buf.partition(b"\n")
+    return line, rest
 
 
 def _read_reply_line(sock: socket.socket,
                      timeout: Optional[float]) -> bytes:
     """Producer side: read the server's one-line handshake reply."""
     sock.settimeout(timeout)
-    buf = b""
-    while b"\n" not in buf:
-        if len(buf) > HANDSHAKE_LIMIT:
-            raise TraceFormatError("handshake reply exceeds {} bytes".format(
-                HANDSHAKE_LIMIT))
-        chunk = sock.recv(256)
-        if not chunk:
-            raise TraceFormatError(
-                "connection closed before the handshake reply")
-        buf += chunk
-    return buf.split(b"\n", 1)[0]
+    return _read_frame(sock, b"", "handshake reply")[0]
 
 
 class _SendallSink:

@@ -483,18 +483,3 @@ class TestEngineAndHarness:
         assert result.events == len(figure1())
         assert result.reports["st-wdc"].dynamic_count == 1
 
-    def test_measure_stream_windowed_session_path(self, tmp_path):
-        # window_events drives the same capture through an incremental
-        # engine session (the live-serving path); reports are identical
-        from repro.harness.measure import measure_stream
-        path = tmp_path / "b.trace"
-        path.write_bytes(dumps_trace_binary(figure1()))
-        one_shot = measure_stream(str(path), ["st-wdc", "fto-hb"])
-        windowed = measure_stream(str(path), ["st-wdc", "fto-hb"],
-                                  window_events=5)
-        assert windowed.events == one_shot.events == len(figure1())
-        for name in ("st-wdc", "fto-hb"):
-            assert [r.index for r in windowed.reports[name].races] == \
-                [r.index for r in one_shot.reports[name].races]
-            assert windowed.reports[name].peak_footprint_bytes == \
-                one_shot.reports[name].peak_footprint_bytes

@@ -399,6 +399,43 @@ def test_cache_extend_replays_only_suffix(tmp_path, avrora):
     assert out3.getvalue() == reference
 
 
+def test_cache_resumed_suffix_reads_like_a_cold_pass(tmp_path, avrora):
+    """A resumed run reads its suffix with the ordinary text reader: a
+    line of undecodable bytes appended to a cached trace is a malformed
+    trace, as in a cold pass (the CLI's exit 2), not a raw
+    UnicodeDecodeError; a comment and a blank line at the boundary stay
+    comments."""
+    seg = 200
+    path = str(tmp_path / "t.trace")
+    _dump(avrora, path, False)
+    cache = str(tmp_path / "cache")
+    names = ["st-wdc"]
+    analyze_cached(cache, path, names, out=io.StringIO(),
+                   err=io.StringIO(), segment_events=seg)
+    boundary = (len(avrora) // seg) * seg
+    with open(path, "rb") as fp:
+        lines = fp.readlines()  # the header, then one line per event
+    good = b"".join(lines[:boundary + 1] + [b"# note\n", b"\n"]
+                    + lines[boundary + 1:] + [b"T0 wr x1 @1\n"])
+    with open(path, "wb") as fp:
+        fp.write(good + b"\xff\xfe\n")
+    for root in (cache, str(tmp_path / "cold")):
+        with pytest.raises(TraceFormatError, match="not valid text"):
+            analyze_cached(root, path, names, out=io.StringIO(),
+                           err=io.StringIO(), segment_events=seg)
+    with open(path, "wb") as fp:
+        fp.write(good)
+    runs = []
+    for root in (cache, str(tmp_path / "cold-again")):
+        out, err = io.StringIO(), io.StringIO()
+        code = analyze_cached(root, path, names, out=out, err=err,
+                              segment_events=seg)
+        runs.append((code, out.getvalue(), err.getvalue()))
+    assert "resumed from checkpoint at {}".format(boundary) in runs[0][2]
+    assert "(cold)" in runs[1][2]
+    assert runs[0][:2] == runs[1][:2]
+
+
 def test_cache_rewrite_falls_back_before_edit(tmp_path, avrora):
     """A mid-file edit invalidates checkpoints at or past the edited
     segment; the re-run resumes from one before it (or cold)."""

@@ -1,6 +1,7 @@
 """Tests for the single-pass multi-analysis engine (repro.core.engine)."""
 
 import io
+import json
 import os
 import subprocess
 import sys
@@ -610,6 +611,23 @@ class TestSession:
             [("st-wdc", race.index)
              for race in result.report("st-wdc").races]
 
+    def test_sampled_drain_keeps_one_shot_footprint_peaks(self, rng):
+        # footprint samples fall at fixed event indices, so a drain in
+        # windows that do not align with them peaks where one feed does
+        trace = random_trace(rng, n_events=140)
+        names = ["st-wdc", "fto-hb"]
+        one_shot = MultiRunner([create(name, trace) for name in names],
+                               sample_every=16).run(trace)
+        session = MultiRunner([create(name, trace) for name in names],
+                              sample_every=16).session()
+        list(session.drain(iter(trace.events), window=9))
+        drained = session.finish()
+        for name in names:
+            assert drained.report(name).peak_footprint_bytes == \
+                one_shot.report(name).peak_footprint_bytes, name
+            assert _race_key(drained.report(name)) == \
+                _race_key(one_shot.report(name)), name
+
     def test_source_error_leaves_session_usable(self, rng):
         trace = random_trace(rng, n_events=50)
 
@@ -742,3 +760,120 @@ class TestDeclaredDimensions:
         seconds = dict(line.split() for line in proc.stdout.splitlines())
         assert sorted(seconds) == sorted(ANALYSIS_NAMES)
         assert max(float(s) for s in seconds.values()) < 0.1, seconds
+
+    #: One child per mode runs every far-id scenario under a 2 GiB
+    #: address-space cap and prints what each printed (stdout, exit
+    #: code).  Variables 2^40 under a ``vars=4`` header: growing columns
+    #: to that id fails, and must fail the same way with and without
+    #: numpy.  Variables near 2^20: both paths grow and must agree.
+    _FAR_IDS_CHILD = textwrap.dedent("""
+        import contextlib, io, json, os, resource, sys, threading, time
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))
+        from repro.cli import main
+        from repro.core.registry import ANALYSIS_NAMES
+        from repro.server import ServerApp, ServerConfig
+        from repro.trace.binfmt import BinaryTraceWriter
+        from repro.trace.event import WRITE, Event
+        from repro.trace.live import send_events
+        from repro.trace.trace import TraceInfo
+
+        work = sys.argv[1]
+        header = TraceInfo(num_threads=2, num_vars=4)
+
+        def events(var):
+            return [Event(0, WRITE, var, 1), Event(1, WRITE, var, 2)]
+
+        runs = {}
+        for label, var in (("far", 2 ** 40), ("near", (1 << 20) + 5)):
+            path = os.path.join(work, label + ".bin")
+            with BinaryTraceWriter(path, header) as writer:
+                for event in events(var):
+                    writer.write(event)
+            for name in ANALYSIS_NAMES:
+                for mode in ("stream", "in-memory"):
+                    argv = ["analyze", "-a", name, path]
+                    if mode == "stream":
+                        argv.append("--stream")
+                    out = io.StringIO()
+                    with contextlib.redirect_stdout(out), \\
+                            contextlib.redirect_stderr(io.StringIO()):
+                        try:
+                            code = main(argv)
+                        except Exception as exc:
+                            code = "raised {!r}".format(exc)
+                    runs[" ".join((label, name, mode))] = [code,
+                                                           out.getvalue()]
+
+        # a named tenant declaring 2 events, fed variable 2^40
+        out = io.StringIO()
+        app = ServerApp(ServerConfig(
+            os.path.join(work, "srv.sock"), analyses=["st-wdc", "unopt-hb"],
+            multi=True, timeout=10.0, accept_poll=0.05),
+            out=out, err=io.StringIO())
+        codes = []
+        server = threading.Thread(target=lambda: codes.append(app.run()))
+        server.start()
+        deadline = time.monotonic() + 30
+        while app._listener is None and time.monotonic() < deadline:
+            time.sleep(0.01)
+        send_events(header, events(2 ** 40), app.config.endpoint,
+                    tenant="t1", total=2)
+        while "--- end tenant t1 ---" not in out.getvalue() \\
+                and time.monotonic() < deadline:
+            time.sleep(0.01)
+        app.stop()
+        server.join(30)
+        runs["served"] = [codes, out.getvalue()]
+        print(json.dumps(runs))
+    """)
+
+    @pytest.fixture(scope="class")
+    def far_id_runs(self, tmp_path_factory):
+        if sys.platform == "win32":
+            pytest.skip("POSIX rlimits")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), "..", "src")]
+            + env.get("PYTHONPATH", "").split(os.pathsep))
+        runs = {}
+        for mode in ("numpy", "no-numpy"):
+            env.pop("REPRO_NO_NUMPY", None)
+            if mode == "no-numpy":
+                env["REPRO_NO_NUMPY"] = "1"
+            work = str(tmp_path_factory.mktemp(mode))
+            proc = subprocess.run(
+                [sys.executable, "-c", self._FAR_IDS_CHILD, work], env=env,
+                capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            runs[mode] = json.loads(proc.stdout)
+        return runs
+
+    def test_variable_far_past_header_reports_alike_with_and_without_numpy(
+            self, far_id_runs):
+        numpy_runs, scalar_runs = far_id_runs["numpy"], far_id_runs["no-numpy"]
+        far = sorted(k for k in scalar_runs if k.startswith("far "))
+        assert len(far) == 2 * len(ANALYSIS_NAMES)
+        for key in far:
+            assert numpy_runs[key] == scalar_runs[key], key
+        # st-wdc's columns cannot reach 2^40; unopt-hb keeps dicts
+        code, out = scalar_runs["far st-wdc stream"]
+        assert code == 2 and "st-wdc       FAILED at event 0" in out
+        assert scalar_runs["far unopt-hb stream"][0] == 1
+
+    def test_variables_near_2_20_report_alike_with_and_without_numpy(
+            self, far_id_runs):
+        numpy_runs, scalar_runs = far_id_runs["numpy"], far_id_runs["no-numpy"]
+        near = sorted(k for k in scalar_runs if k.startswith("near "))
+        assert len(near) == 2 * len(ANALYSIS_NAMES)
+        for key in near:
+            assert numpy_runs[key] == scalar_runs[key], key
+            assert numpy_runs[key][0] == 1, key  # both grow: the race
+
+    def test_served_tenant_past_header_reports_alike_with_and_without_numpy(
+            self, far_id_runs):
+        numpy_codes, numpy_out = far_id_runs["numpy"]["served"]
+        scalar_codes, scalar_out = far_id_runs["no-numpy"]["served"]
+        assert numpy_out == scalar_out
+        assert numpy_codes == scalar_codes == [2]
+        assert "--- tenant t1: complete after 2 events ---" in scalar_out
+        assert "st-wdc       FAILED at event 0" in scalar_out

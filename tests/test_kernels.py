@@ -136,6 +136,36 @@ class TestDifferentialFuzz:
         on = _run(trace, EPOCH_TIERS, True, 512)
         assert on == off
 
+    def test_vec_filter_hands_off_past_an_unrepresentable_variable(self):
+        """A variable id the vectorized filter's arrays cannot grow to
+        (2^62: numpy refuses that size outright) hands its state to the
+        pure-Python twin.  Before, at and after that chunk, and through a
+        checkpoint's seed, it keeps what the twin keeps."""
+        from repro.core.engine import _EPOCH_ENDERS
+        from repro.core.kernels import SameEpochFilter, make_filter
+
+        rng = random.Random(7)
+        vec = make_filter(4, _EPOCH_ENDERS)
+        ref = SameEpochFilter(_EPOCH_ENDERS)
+        for chunk in range(8):
+            n = 300
+            cols = [[rng.choice([0, 0, 0, 1, 1, 2, 3]) for _ in range(n)],
+                    [rng.randrange(4) for _ in range(n)],
+                    [rng.randrange(6) for _ in range(n)],
+                    list(range(n))]
+            if chunk == 3:
+                cols[0][n // 2], cols[2][n // 2] = 1, 1 << 62
+            if chunk == 6:  # a restored session seeds a fresh filter
+                vec = make_filter(4, _EPOCH_ENDERS)
+                vec.seed_state(*ref.export_state())
+            kept = []
+            for filt in (vec, ref):
+                lists = [list(range(n))] + [list(c) for c in cols]
+                m = filt.apply(*lists, n)
+                kept.append([c[:m] for c in lists])
+            assert kept[0] == kept[1], chunk
+            assert vec.export_state() == ref.export_state(), chunk
+
     def test_sync_heavy_chunks_take_the_handlers_bit_identical(self):
         """Chunks whose kept events are mostly synchronization replay
         through the dispatch tables, the rest through the kernels; a

@@ -35,6 +35,7 @@ from repro.trace.live import (
     send_trace,
 )
 from repro.trace.stream import TraceFormatError
+from repro.trace.trace import TraceInfo
 from repro.workloads import figure1
 from repro.workloads.dacapo import dacapo_trace
 
@@ -392,6 +393,69 @@ class TestMultiTenantServe:
         assert summary["dynamic"] == 45 and summary["events"] == len(avrora)
 
 
+class TestConnectionEnds:
+    """Every way a served connection ends reaches one disposition rule
+    (TenantSession.end_connection)."""
+
+    def test_refused_first_header_fails_the_session(self, tmp_path):
+        # more threads than packed epochs hold: no engine to resume
+        with _Server(tmp_path) as srv:
+            sock, _ = _hello_conn(srv.addr, "wide", total=10)
+            _send_binary_events(sock, TraceInfo(num_threads=70_000), [])
+            state, events, body = srv.wait_block("wide")
+            assert (state, events, body) == ("failed", 0, "")
+            assert "cannot analyze this feed" in srv.err.getvalue()
+            sock.close()
+            with pytest.raises(TraceFormatError, match="finished"):
+                _hello_conn(srv.addr, "wide")
+            srv.stop()
+        assert srv.code == 2
+
+    def test_hangup_before_the_welcome_stays_resumable(self, tmp_path,
+                                                      avrora):
+        with _Server(tmp_path) as srv:
+            sock = connect_endpoint(srv.addr, connect_timeout=10)
+            sock.sendall(format_hello("early", total=len(avrora)))
+            sock.close()  # before reading the welcome
+            _wait_for(lambda: srv.session_state("early") == "detached",
+                      what="detach")
+            assert send_trace(avrora, srv.addr, tenant="early") \
+                == len(avrora)
+            state, events, body = srv.wait_block("early")
+            assert state == "complete" and events == len(avrora)
+            assert body == solo_summary(avrora)
+            assert "tenant early: resumed at event 0" in srv.err.getvalue()
+
+    def test_unexpected_engine_error_fails_named_and_anonymous(
+            self, tmp_path, avrora, monkeypatch):
+        from repro.core.engine import EngineSession
+
+        real_feed = EngineSession.feed
+
+        def feed(self, events, max_events=None):
+            if self.events_processed >= 256:
+                raise RuntimeError("engine exploded")
+            return real_feed(self, events, max_events)
+
+        monkeypatch.setattr(EngineSession, "feed", feed)
+        with _Server(tmp_path) as srv:
+            for tenant in (None, "named"):
+                try:
+                    send_trace(avrora, srv.addr, tenant=tenant)
+                except OSError:
+                    pass  # the server may hang up with bytes unread
+            for tenant in ("anon/1", "named"):
+                state, events, _ = srv.wait_block(tenant)
+                assert (state, events) == ("failed", 256), tenant
+                assert "tenant {}: feed failed after 256 events: " \
+                    "RuntimeError('engine exploded')".format(tenant) \
+                    in srv.err.getvalue()
+            with pytest.raises(TraceFormatError, match="finished"):
+                _hello_conn(srv.addr, "named")
+            srv.stop()
+        assert srv.code == 2
+
+
 class TestParallelTenants:
     def test_workers_tenant_matches_solo(self, tmp_path, avrora):
         analyses = ["st-wdc", "fto-hb"]
@@ -501,13 +565,6 @@ class TestControlPathEdges:
         assert "--control" in str(exc.value)
         assert "65536" in str(exc.value)
 
-    def test_control_endpoint_for_port_65535_is_none(self):
-        from repro.server.app import control_endpoint_for
-        assert control_endpoint_for(("127.0.0.1", 65535)) is None
-        assert control_endpoint_for(("127.0.0.1", 9000)) \
-            == "127.0.0.1:9001"
-        assert control_endpoint_for("/tmp/x.sock") == "/tmp/x.sock.ctl"
-
     def test_connect_failure_names_control_flag(self):
         # a port nothing listens on: bind-then-release
         probe = socket.socket(socket.AF_INET)
@@ -545,7 +602,7 @@ class TestControlPathEdges:
         — it binds an ephemeral port and serves MI on it."""
         app = ServerApp(ServerConfig(endpoint="127.0.0.1:65535",
                                      multi=True, accept_poll=0.05))
-        thread = app._start_control(("127.0.0.1", 65535))
+        thread = app._start_control("127.0.0.1:65535")
         try:
             assert app.control_address is not None
             port = int(app.control_address.rsplit(":", 1)[1])
