@@ -85,23 +85,20 @@ def _suffix_stream(path: str, segs: TraceSegments,
     positive multiple of the segment size covered by
     ``segs.boundaries``), opened with the format's ordinary reader and
     seeked straight to the boundary's byte offset, so the skipped prefix
-    is never parsed.  The binary reader gets the real header, re-read
-    from the file, as its sniffed prefix; the text reader starts at the
-    boundary line, and a comment or blank line there stays one."""
+    is never parsed.  The reader gets the real header, re-read from the
+    file, as its ``prefix``; a comment or blank line at the boundary
+    stays one."""
     offset = segs.header_end + segs.boundaries[
         from_events // segs.segment_events - 1]
     fp = open(path, "rb")
     try:
-        if segs.fmt == "binary-v2":
-            header = fp.read(segs.header_end)
-            fp.seek(offset)
-            return BinaryTraceStream(fp, owns_fp=True, prefix=header)
+        header = fp.read(segs.header_end)
         fp.seek(offset)
-        return TraceStream(io.TextIOWrapper(fp, encoding="utf-8"),
-                           owns_fp=True)
     except BaseException:
         fp.close()
         raise
+    reader = BinaryTraceStream if segs.fmt == "binary-v2" else TraceStream
+    return reader(fp, owns_fp=True, prefix=header)
 
 
 class ResultCache:

@@ -197,8 +197,7 @@ class ServerApp:
             with sess.lock:
                 state = sess.state
                 idle = now - sess.last_active
-            if state == DETACHED and idle > config.resume_grace \
-                    and sess.reconnects >= 0:
+            if state == DETACHED and idle > config.resume_grace:
                 self._log("tenant {}: resume grace expired after {} "
                           "events".format(name, sess.events_acked))
                 self._seal(sess, only_if_detached=True)
@@ -241,10 +240,19 @@ class ServerApp:
                     else hello["tenant"]
                 with self._registry_lock:
                     tenant = self.sessions.get(name)
-                    if tenant is None:
-                        tenant = self.sessions[name] = TenantSession(
-                            name, config, anonymous=hello is None)
-                ok, outcome = tenant.try_attach(hello)
+                    fresh = tenant is None
+                    if fresh:
+                        # registered once attached, in one step: a refused
+                        # first hello leaves no session behind
+                        tenant = TenantSession(name, config,
+                                               anonymous=hello is None)
+                        ok, outcome = tenant.try_attach(hello)
+                        if ok:
+                            self.sessions[name] = tenant
+                if not fresh:
+                    # outside the registry lock: a seal may hold the
+                    # session's lock for a while
+                    ok, outcome = tenant.try_attach(hello)
                 if not ok:
                     self._log("tenant {}: refused ({})".format(
                         name, outcome))
@@ -256,7 +264,7 @@ class ServerApp:
                         if sess.reconnects:
                             self._log("tenant {}: resumed at event "
                                       "{}".format(name, outcome))
-                    # the constructor parses the wire header, so a
+                    # opening the reader parses the wire header, so a
                     # producer dying mid-header ends the block here
                     source = SocketTraceSource(conn, timeout=config.timeout,
                                                prefix=prefix)

@@ -295,6 +295,6 @@ class TenantSession:
                 "events_per_second": (events / active) if active > 0 else 0.0,
                 "lag_seconds": max(now - self.last_active, 0.0),
                 "age_seconds": now - self.created,
-                "reconnects": max(self.reconnects, 0),
+                "reconnects": self.reconnects,
                 "error": None if self.error is None else str(self.error),
             }

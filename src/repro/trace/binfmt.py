@@ -50,7 +50,8 @@ from __future__ import annotations
 
 import io
 import os
-from typing import BinaryIO, Optional, Union
+import shutil
+from typing import BinaryIO, Union
 
 from repro.trace.event import Event, KIND_NAMES
 from repro.trace.stream import Columns, TraceFormatError, TraceStreamBase
@@ -64,7 +65,6 @@ _NUM_KINDS = len(KIND_NAMES)
 #: Header varints cap at 10 bytes (LEB128 for a 64-bit value: 9 x 7 + 1
 #: bits).
 _MAX_VARINT_SHIFT = 63
-_READ_SIZE = 1 << 16
 _FLUSH_BYTES = 1 << 16
 #: Events per vectorized scan: bounds the numpy decoder's temporaries
 #: (a few dozen bytes per event) whatever the caller's read limit.
@@ -140,8 +140,11 @@ class BinaryTraceWriter:
     binary file object (left open).  ``dims`` is anything carrying the
     five ``num_*`` dimensions — a :class:`TraceInfo` or a full
     :class:`Trace`; the event-count hint is ``len(dims)`` (0 = unknown,
-    fine for streaming conversion).  Supports ``with`` for
-    flush-and-close.
+    fine for streaming conversion).  A v2 header's nonzero count is
+    where readers stop, so when a file this writer opened got a
+    different number of events (a text trace's ``events=`` goes stale
+    when lines are appended), :meth:`close` rewrites its header with
+    the count written.  Supports ``with`` for flush-and-close.
     """
 
     def __init__(self, sink: Union[BinaryIO, str],
@@ -153,6 +156,7 @@ class BinaryTraceWriter:
             self._fp = sink
             self._owns_fp = False
         self.events_written = 0
+        self._declared = len(dims)
         buf = bytearray(MAGIC)
         for dim in (dims.num_threads, dims.num_locks, dims.num_vars,
                     dims.num_volatiles, dims.num_classes, len(dims)):
@@ -174,10 +178,14 @@ class BinaryTraceWriter:
             self._buf = bytearray()
 
     def close(self) -> None:
-        """Flush buffered bytes; close the file if this writer owns it."""
+        """Flush buffered bytes; close the file if this writer owns it,
+        declaring the events written (see the class docstring)."""
         self.flush()
         if self._owns_fp:
             self._fp.close()
+            if self._declared and self._declared != self.events_written:
+                _rewrite_event_count(self._fp.name, self.events_written)
+                self._declared = self.events_written
 
     def __enter__(self) -> "BinaryTraceWriter":
         return self
@@ -185,6 +193,21 @@ class BinaryTraceWriter:
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.close()
         return False
+
+
+def _rewrite_event_count(path: str, count: int) -> None:
+    """Set the event count in the header of the v2 trace file at
+    ``path``; the varint may change length, so the file is rewritten."""
+    tmp = path + ".tmp"
+    with open(path, "rb") as old, open(tmp, "wb") as new:
+        fields, end = _header_fields(old.read(len(MAGIC) + 60))
+        header = bytearray(MAGIC)
+        for value in fields[:5] + [count]:
+            _append_varint(header, value)
+        new.write(header)
+        old.seek(end)
+        shutil.copyfileobj(old, new)
+    os.replace(tmp, path)
 
 
 def dump_trace_binary(trace: Trace, fp: BinaryIO) -> None:
@@ -202,143 +225,87 @@ def dumps_trace_binary(trace: Trace) -> bytes:
     return out.getvalue()
 
 
+class _ShortHeader(TraceFormatError):
+    """The input ends inside the magic or header (more bytes may come)."""
+
+
+def _header_fields(data: bytes):
+    """Parse the magic and the six header varints at the start of
+    ``data``; returns ``(fields, header_end)``.  Raises
+    :class:`TraceFormatError` on a bad magic or an oversized varint, and
+    its subclass :class:`_ShortHeader` when ``data`` ends first."""
+    if data[:len(MAGIC)] != MAGIC:
+        error = _ShortHeader if MAGIC.startswith(data) else TraceFormatError
+        raise error("not a v2 binary trace: bad or truncated magic "
+                    "(expected {!r})".format(MAGIC))
+    pos = len(MAGIC)
+    fields = []
+    for name in ("threads", "locks", "vars", "volatiles", "classes",
+                 "events"):
+        value = 0
+        shift = 0
+        while True:
+            if pos >= len(data):
+                raise _ShortHeader(
+                    "binary trace truncated in header ({} field)".format(
+                        name))
+            b = data[pos]
+            pos += 1
+            if b < 0x80:
+                value |= b << shift
+                break
+            value |= (b & 0x7F) << shift
+            shift += 7
+            if shift > _MAX_VARINT_SHIFT:
+                # endless continuation bits: reject instead of
+                # accumulating an unbounded int from a live feed
+                raise TraceFormatError(
+                    "oversized varint in header ({} field)".format(name))
+        fields.append(value)
+    return fields, pos
+
+
 class BinaryTraceStream(TraceStreamBase):
     """One-shot lazily decoded event stream over a v2 binary trace.
 
     Same contract as the text :class:`~repro.trace.format.TraceStream`
-    (one-shot, ownership, context manager, column reads — see
-    :class:`~repro.trace.stream.TraceStreamBase`), except that ``info``
-    is always present: the binary header is mandatory, so
+    (one-shot, ownership, context manager, column reads, ``prefix`` —
+    see :class:`~repro.trace.stream.TraceStreamBase`), except that
+    ``info`` is always present: the binary header is mandatory, so
     :meth:`require_info` never fails.
 
     The header's event count, when nonzero, is authoritative: decoding
     stops there without another read (a live producer need not close
-    its end), and bytes past it are ignored.  A read of the source only
-    happens when no complete event is buffered; a trailing partial
-    event is carried over to the next read.
-
-    ``prefix`` is for the autodetection path: bytes already read off an
-    unseekable handle while sniffing the magic, logically still the
-    start of the stream.
+    its end), and bytes past it are ignored.
     """
 
-    _OPEN_MODE = "rb"
-
-    def __init__(self, source: Union[BinaryIO, str],
-                 owns_fp: Optional[bool] = None, prefix: bytes = b""):
-        self._prefix = prefix
-        super().__init__(source, owns_fp)
+    _TRUNCATED = "binary trace truncated mid-event after {} events"
 
     def _read_header(self) -> None:
-        # Parse incrementally, never requesting bytes beyond the header
-        # itself: live sources (sockets, FIFOs) deliver the header the
-        # moment the producer wrote it, and an over-sized probe would
-        # stall a short live feed waiting for event bytes that may be
-        # minutes away.  A one-byte-at-a-time tail costs nothing here
-        # (the header is parsed once; events use the buffered fast path).
-        data = self._prefix
-        self._prefix = b""
-        read = self._fp.read
-
-        def ensure(k: int) -> bool:
-            """Grow ``data`` to >= k bytes; False at end of input."""
-            nonlocal data
-            while len(data) < k:
-                chunk = read(k - len(data))
-                if not chunk:
-                    return False
-                data += chunk
-            return True
-
-        if not ensure(len(MAGIC)) or data[:len(MAGIC)] != MAGIC:
-            raise TraceFormatError(
-                "not a v2 binary trace: bad or truncated magic "
-                "(expected {!r})".format(MAGIC))
-        pos = len(MAGIC)
-        dims = []
-        for name in ("threads", "locks", "vars", "volatiles", "classes",
-                     "events"):
-            value = 0
-            shift = 0
-            while True:
-                if pos >= len(data) and not ensure(pos + 1):
-                    raise TraceFormatError(
-                        "binary trace truncated in header "
-                        "({} field)".format(name))
-                b = data[pos]
-                pos += 1
-                if b < 0x80:
-                    value |= b << shift
-                    break
-                value |= (b & 0x7F) << shift
-                shift += 7
-                if shift > _MAX_VARINT_SHIFT:
-                    # endless continuation bits: reject instead of
-                    # accumulating an unbounded int from a live feed
-                    raise TraceFormatError(
-                        "oversized varint in header ({} field)".format(
-                            name))
-            dims.append(value)
-        self.info = TraceInfo(*dims)
-        self._data = bytes(data)  # buffered input
-        self._pos = pos           # first undecoded byte of _data
-        self._count = 0           # events decoded
-        self._eof = False
-        #: a malformed event found right after the events last returned
-        self._pending: Optional[TraceFormatError] = None
+        # Re-parse the buffer after each read until the header is whole:
+        # a read returns what the source has, so a live header is parsed
+        # the moment the producer wrote it.
+        while True:
+            try:
+                fields, self._pos = _header_fields(self._data)
+                break
+            except _ShortHeader:
+                if not self._fill():
+                    raise
+        self.info = TraceInfo(*fields)
+        self._declared = self.info.num_events
         np = _numpy()
         self._np = np
         self._decode = self._decode_py if np is None else self._decode_np
         self._bpe = 4.0  # bytes per event, sizes the vectorized scans
 
-    def _read_block(self, limit: int) -> Columns:
-        declared = self.info.num_events
-        if declared:
-            limit = min(limit, declared - self._count)
-        while limit > 0:
-            error = self._pending
-            if error is not None:
-                self._stop()
-                raise error
-            cols = self._decode(limit)
-            n = len(cols[0])
-            if n:
-                self._count += n
-                return cols
-            if self._pending is not None:
-                continue
-            if self._eof:
-                if self._pos < len(self._data):
-                    self._stop()
-                    raise TraceFormatError(
-                        "binary trace truncated mid-event after {} "
-                        "events".format(self._count))
-                break
-            # no complete event buffered: one read of whatever is
-            # available (live sources return partial data), keeping the
-            # partial event's bytes
-            chunk = self._fp.read(_READ_SIZE)
-            if chunk:
-                self._data = self._data[self._pos:] + chunk
-                self._pos = 0
-            else:
-                self._eof = True
-        return [], [], [], []
-
-    def _stop(self) -> None:
-        """After an error: later reads find nothing."""
-        self._pending = None
-        self._data = b""
-        self._pos = 0
-        self._eof = True
-
     def _oversized(self, n: int) -> TraceFormatError:
         return TraceFormatError(
-            "oversized varint at event {}".format(self._count + n))
+            "oversized varint at event {}".format(self._decoded + n))
 
     def _bad_kind(self, kind: int, n: int) -> TraceFormatError:
         return TraceFormatError("bad event kind {} at event {}".format(
-            kind, self._count + n))
+            kind, self._decoded + n))
 
     def _decode_py(self, limit: int) -> Columns:
         """Decode up to ``limit`` buffered complete events into lists."""

@@ -29,15 +29,19 @@ dimensions would surface later as a misleading "no header" error.)
 
 :func:`stream_trace` returns a one-shot stream: its ``info`` attribute
 is the :class:`~repro.trace.trace.TraceInfo` parsed from that header (or
-``None`` for header-less text), and iterating it yields
-:class:`~repro.trace.event.Event` objects parsed lazily — the full
-:class:`~repro.trace.trace.Trace` is never materialized, so arbitrarily
-large captures are analyzed in bounded memory (feed the stream to
-:class:`repro.core.engine.MultiRunner`).  A stream is strictly one-shot:
-it cannot be rewound, and a second iteration raises
+``None`` for header-less text).  :class:`TraceStream` is a column
+decoder: it decodes and splits each block of complete lines once, and
+its column reads (what :class:`repro.core.engine.MultiRunner` consumes)
+parse lines straight into four int columns; iterating it yields
+:class:`~repro.trace.event.Event` objects as a view over the same reads.
+The full :class:`~repro.trace.trace.Trace` is never materialized, so
+arbitrarily large captures are analyzed in bounded memory.  A stream is
+strictly one-shot: it cannot be rewound, and a second iteration raises
 :class:`RuntimeError`; it supports ``with`` for deterministic cleanup
-when abandoned early (the shared lifecycle lives in
-:class:`repro.trace.stream.TraceStreamBase`).  Malformed lines raise
+when abandoned early (the shared lifecycle and read loop live in
+:class:`repro.trace.stream.TraceStreamBase`).  Lines end at ``\\n``,
+``\\r\\n`` or a lone ``\\r``, as in a file read in text mode.
+Malformed lines, and bytes that are not UTF-8, raise
 :class:`TraceFormatError` carrying the offending line number
 (``.lineno``).
 
@@ -48,9 +52,10 @@ There are two on-disk formats: this text format (``# repro trace v1``
 header) and the v2 binary format of :mod:`repro.trace.binfmt`
 (``# repro trace v2`` magic + varint-encoded events; >2x faster to
 ingest).  :func:`stream_trace` and :func:`load_trace` sniff the leading
-bytes of the source and pick the right reader — paths, binary file
-objects (seekable or not), and text file objects all work, and no caller
-ever passes a format flag.  ``repro convert`` translates between the
+bytes of the source and pick the right reader, which takes the sniffed
+bytes as its ``prefix`` — paths, binary file objects (seekable or not),
+and text file objects all work, and no caller ever passes a format
+flag.  ``repro convert`` translates between the
 two; analysis entry points (``repro analyze --stream``, ``repro
 compare``, :func:`repro.detect_races_stream`) accept either format
 transparently.
@@ -64,10 +69,11 @@ threads logged no events).
 from __future__ import annotations
 
 import io
-from typing import BinaryIO, Iterator, Optional, TextIO, Union
+from typing import BinaryIO, List, Optional, TextIO, Tuple, Union
 
 from repro.trace.event import Event, KIND_NAMES, NAME_KINDS
-from repro.trace.stream import TraceFormatError, TraceStreamBase
+from repro.trace.stream import (Columns, TraceFormatError, TraceStreamBase,
+                                _byte_reader)
 from repro.trace.trace import Trace, TraceInfo
 
 __all__ = [
@@ -165,20 +171,23 @@ _ID_LIMIT = 1 << 63
 
 def _parse_id(token: str, lineno: int) -> int:
     digits = token.lstrip("Tmxvk")
-    if digits.isdigit():
-        value = int(digits)
-        if value < _ID_LIMIT:
-            return value
+    try:
+        value = int(digits) if digits.isdecimal() else _ID_LIMIT
+    except ValueError:  # more digits than int() converts
+        value = _ID_LIMIT
+    if value < _ID_LIMIT:
+        return value
     raise TraceFormatError(
         "line {}: bad id {!r}".format(lineno, token), lineno)
 
 
-def parse_event_line(line: str, lineno: int) -> Optional[Event]:
-    """Parse one line; None for blanks/comments, TraceFormatError if bad."""
-    line = line.strip()
-    if not line or line.startswith("#"):
-        return None
+def _parse_line(line: str, lineno: int) -> Optional[Tuple[int, int, int,
+                                                          int]]:
+    """Parse one line into ``(kind, tid, target, site)``; None for
+    blanks/comments, TraceFormatError if bad."""
     parts = line.split()
+    if not parts or parts[0][0] == "#":
+        return None
     if len(parts) not in (3, 4):
         raise TraceFormatError(
             "line {}: expected 'Tn op operand [@site]'".format(lineno),
@@ -204,6 +213,15 @@ def parse_event_line(line: str, lineno: int) -> Optional[Event]:
         if not ok:
             raise TraceFormatError(
                 "line {}: bad site {!r}".format(lineno, parts[3]), lineno)
+    return kind, tid, target, site
+
+
+def parse_event_line(line: str, lineno: int) -> Optional[Event]:
+    """Parse one line; None for blanks/comments, TraceFormatError if bad."""
+    fields = _parse_line(line, lineno)
+    if fields is None:
+        return None
+    kind, tid, target, site = fields
     return Event(tid, kind, target, site)
 
 
@@ -218,7 +236,7 @@ def _parse_header(line: str, lineno: int) -> Optional[TraceInfo]:
     info = TraceInfo()
     for token in line[len(_HEADER_PREFIX):].split():
         key, eq, value = token.partition("=")
-        if not eq or not value.isdigit():
+        if not eq or not value.isdecimal():
             raise TraceFormatError(
                 "line {}: bad trace-header field {!r} (expected "
                 "key=count)".format(lineno, token), lineno)
@@ -228,89 +246,142 @@ def _parse_header(line: str, lineno: int) -> Optional[TraceInfo]:
     return info
 
 
-class TraceStream(TraceStreamBase):
-    """A one-shot, lazily parsed event stream over v1 trace text.
+def _split_lines(text: str) -> List[str]:
+    """``text`` as its lines, broken at ``\\n``, ``\\r\\n`` and a
+    lone ``\\r`` like a file read in text mode."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if not lines[-1]:
+        del lines[-1]  # what follows the last line break
+    return lines
 
-    The lifecycle (ownership, close-on-init-failure, one-shot iteration,
-    context-manager support) is shared with the binary reader — see
-    :class:`repro.trace.stream.TraceStreamBase`.  ``info`` is the
+
+class TraceStream(TraceStreamBase):
+    """A one-shot column decoder over v1 trace text (the shared contract
+    is :class:`repro.trace.stream.TraceStreamBase`'s).  ``info`` is the
     :class:`TraceInfo` from the header comment, or ``None`` if absent.
+
+    Each block of complete lines in the byte buffer is decoded and split
+    once; a column read parses at most ``limit`` of those lines straight
+    into the columns, with the parser :func:`parse_event_line` wraps.
     """
 
-    _OPEN_MODE = "r"
-
     def _read_header(self) -> None:
-        # The header, when present, is the first line; peek at it so
-        # ``info`` is available before iteration starts.
+        self._lines: List[str] = []  # split, not yet parsed
+        self._next = 0               # first unparsed line in _lines
+        self._lineno = 0             # lines parsed so far
+        #: undecodable bytes right after the last line in _lines
+        self._bad: Optional[TraceFormatError] = None
+        # The header, when present, is the first line; split the first
+        # block so ``info`` is available before reading starts.
+        while not self._split():
+            if self._eof:
+                return  # empty input
+            self._fill()
+        if not self._lines:
+            raise self._bad
+        self.info = _parse_header(self._lines[0], 1)
+        if self.info is not None:
+            self._next = self._lineno = 1  # consumed as header
+
+    def _split(self) -> bool:
+        """Decode and split the buffered complete lines (at end of
+        input, everything left) into ``_lines``; False when there are
+        none.  A trailing ``\\r`` waits for the next read, which may
+        start with the ``\\n`` of its ``\\r\\n``."""
+        data, pos = self._data, self._pos
+        if self._eof:
+            end = len(data)
+        else:
+            end = max(data.rfind(b"\n", pos),
+                      data.rfind(b"\r", pos, len(data) - 1)) + 1
+        if end <= pos:
+            return False
+        block = data[pos:end]
+        self._pos = end
         try:
-            self._pending: Optional[str] = self._fp.readline()
+            lines = _split_lines(block.decode("utf-8"))
         except UnicodeDecodeError as exc:
-            raise TraceFormatError(
-                "line 1: trace is not valid text ({})".format(exc), 1)
-        if self._pending:
-            self.info = _parse_header(self._pending, 1)
-            if self.info is not None:
-                self._pending = None  # consumed as header
-
-    def _events(self) -> Iterator[Event]:
-        lineno = 0
-        if self._pending is not None:
-            lineno = 1
-            event = parse_event_line(self._pending, lineno)
-            self._pending = None
-            if event is not None:
-                yield event
-        elif self.info is not None:
-            lineno = 1  # the header line
-        try:
-            for line in self._fp:
-                lineno += 1
-                event = parse_event_line(line, lineno)
-                if event is not None:
-                    yield event
-        except UnicodeDecodeError as exc:
-            raise TraceFormatError(
-                "line {}: trace is not valid text ({})".format(
-                    lineno + 1, exc), lineno + 1)
-
-
-class _PrefixedReader(io.RawIOBase):
-    """Re-attaches sniffed magic bytes in front of an unseekable binary
-    handle, so autodetection can fall back to the text reader without
-    losing the bytes it peeked at.  Closing the adapter never closes the
-    wrapped handle (it is not ours)."""
-
-    def __init__(self, prefix: bytes, fp):
-        self._prefix = prefix
-        self._inner = fp
-
-    def readable(self) -> bool:
+            # the lines before the bad one are whole and valid
+            cut = max(block.rfind(b"\n", 0, exc.start),
+                      block.rfind(b"\r", 0, exc.start)) + 1
+            lines = _split_lines(block[:cut].decode("utf-8"))
+            lineno = self._lineno + len(lines) + 1
+            self._bad = TraceFormatError(
+                "line {}: trace is not valid text ({})".format(lineno, exc),
+                lineno)
+        self._lines = lines
+        self._next = 0
         return True
 
-    def readinto(self, b) -> int:
-        if self._prefix:
-            k = min(len(b), len(self._prefix))
-            b[:k] = self._prefix[:k]
-            self._prefix = self._prefix[k:]
-            return k
-        data = self._inner.read(len(b))
-        if not data:
-            return 0
-        b[:len(data)] = data
-        return len(data)
+    def _decode(self, limit: int) -> Columns:
+        while True:
+            lines, start = self._lines, self._next
+            if start == len(lines):
+                if self._bad is not None:
+                    self._pending, self._bad = self._bad, None
+                    return [], [], [], []
+                if not self._split():
+                    return [], [], [], []
+                continue
+            # at most ``limit`` lines: each holds at most one event
+            batch = lines[start:start + limit]
+            first = self._lineno + 1
+            try:
+                rows = list(map(_parse_line, batch,
+                                range(first, first + len(batch))))
+            except TraceFormatError as exc:
+                # the lines before the bad one parse; nothing after it
+                # is read
+                rows = list(map(_parse_line, batch[:exc.lineno - first],
+                                range(first, exc.lineno)))
+                self._pending = exc
+                self._lines, self._next, self._bad = [], 0, None
+                self._lineno = exc.lineno
+            else:
+                self._next = start + len(batch)
+                self._lineno = first + len(batch) - 1
+            rows = list(filter(None, rows))  # drop blanks and comments
+            if rows:
+                kinds, tids, targets, sites = map(list, zip(*rows))
+                return kinds, tids, targets, sites
+            if self._pending is not None:
+                return [], [], [], []
+
+
+def _sniff(fp, owns_fp: bool = False, prefix: bytes = b"") -> TraceStreamBase:
+    """The reader for the source ``fp``, picked from its leading bytes:
+    ``prefix`` (bytes already read off it) and then what the source
+    sends, read only until they match or leave the v2 magic.  Those
+    bytes go to the chosen reader as its ``prefix``; an owned ``fp`` is
+    closed if sniffing fails."""
+    from repro.trace.binfmt import MAGIC, BinaryTraceStream
+
+    try:
+        read = _byte_reader(fp)
+        while len(prefix) < len(MAGIC) and MAGIC.startswith(prefix):
+            chunk = read(len(MAGIC) - len(prefix))
+            if not chunk:
+                break
+            prefix += chunk
+    except BaseException:
+        if owns_fp:
+            fp.close()
+        raise
+    reader = BinaryTraceStream if prefix.startswith(MAGIC) else TraceStream
+    return reader(fp, owns_fp=owns_fp, prefix=prefix)
 
 
 def stream_trace(source: Union[TextIO, BinaryIO, str]) -> TraceStreamBase:
     """Open a lazily parsed one-shot event stream over a recorded trace,
     autodetecting the format from the leading bytes.
 
-    ``source`` is a file path, an open binary file object, or an open
-    text file object.  A source starting with the v2 magic
-    (:data:`repro.trace.binfmt.MAGIC`) gets the binary reader; anything
-    else gets the text reader (text handles are taken at their word —
-    binary content in a text handle fails to decode anyway).  Both
-    readers honor the contract documented on
-    :class:`repro.trace.stream.TraceStreamBase`.
+    ``source`` is a file path (opened ``"rb"`` and owned), an open
+    binary file object, or an open text file object.  A source starting
+    with the v2 magic (:data:`repro.trace.binfmt.MAGIC`) gets the binary
+    reader; anything else gets the text reader.  Both readers honor the
+    contract documented on :class:`repro.trace.stream.TraceStreamBase`.
 
     Example (bounded-memory walk over a capture in either format)::
 
@@ -319,36 +390,9 @@ def stream_trace(source: Union[TextIO, BinaryIO, str]) -> TraceStreamBase:
             for event in stream:            # parsed lazily, one shot
                 ...
     """
-    from repro.trace import binfmt
-
     if isinstance(source, str):
-        fp = open(source, "rb")
-        try:
-            prefix = fp.read(len(binfmt.MAGIC))
-            if prefix == binfmt.MAGIC:
-                return binfmt.BinaryTraceStream(fp, owns_fp=True,
-                                                prefix=prefix)
-            fp.seek(0)
-            text = io.TextIOWrapper(fp, encoding="utf-8")
-        except BaseException:
-            fp.close()
-            raise
-        return TraceStream(text, owns_fp=True)
-    probe = source.read(0)
-    if isinstance(probe, str):
-        return TraceStream(source)
-    # Binary handle: sniff the magic without assuming seekability.
-    prefix = b""
-    while len(prefix) < len(binfmt.MAGIC):
-        chunk = source.read(len(binfmt.MAGIC) - len(prefix))
-        if not chunk:
-            break
-        prefix += chunk
-    if prefix == binfmt.MAGIC:
-        return binfmt.BinaryTraceStream(source, prefix=prefix)
-    text = io.TextIOWrapper(_PrefixedReader(prefix, source),
-                            encoding="utf-8")
-    return TraceStream(text)
+        return _sniff(open(source, "rb"), owns_fp=True)
+    return _sniff(source)
 
 
 def loads_trace(text: str, validate: bool = True) -> Trace:

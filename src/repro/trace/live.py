@@ -6,25 +6,27 @@ so the only missing piece for online analysis is a source whose bytes
 arrive as the monitored program produces them.  This module provides
 two:
 
-* :class:`SocketTraceSource` — one accepted connection on a Unix or TCP
+* :func:`SocketTraceSource` — one accepted connection on a Unix or TCP
   endpoint.  The server side (``repro serve``) binds and waits via
   :class:`TraceListener`; the producer side connects and streams a trace
   with :func:`send_trace` (or ``repro generate --to-socket``).
-* :class:`PipeTraceSource` — a FIFO path, an inherited file descriptor,
+* :func:`PipeTraceSource` — a FIFO path, an inherited file descriptor,
   or an open pipe handle.
 
 Both speak the same wire formats as the offline readers — the v1 text
-format and the v2 binary format, autodetected from the leading bytes by
-:func:`repro.trace.format.stream_trace` — and subclass
-:class:`~repro.trace.stream.TraceStreamBase`, so everything downstream
-(the engine, :class:`~repro.core.engine.EngineSession`, the CLI) treats
-a live feed exactly like a file.  What differs is the byte transport:
+format and the v2 binary format, autodetected from the leading bytes as
+:func:`repro.trace.format.stream_trace` does — and each *returns* that
+format reader (a :class:`~repro.trace.stream.TraceStreamBase`), so
+everything downstream (the engine,
+:class:`~repro.core.engine.EngineSession`, the CLI) treats a live feed
+exactly like a file.  What differs is the byte transport, which is one
+raw reader the format reader owns:
 
-* **partial reads are the normal case** — the sources hand the format
-  readers a *raw* unbuffered reader whose ``read(n)`` returns whatever
-  one ``recv``/``read`` syscall produced (the readers' refill loops
-  already tolerate short reads); a buffered layer would block a live
-  text feed until its buffer filled, stalling reports;
+* **partial reads are the normal case** — the raw reader's ``read(n)``
+  returns whatever one ``recv``/``read`` syscall produced, and the
+  format readers decode every complete event or line they hold before
+  reading again; a buffered layer would block a live feed until its
+  buffer filled, stalling reports;
 * **timeouts** — a ``timeout`` makes a stalled producer raise
   :class:`TimeoutError` (``socket.timeout`` is the same type on
   Python >= 3.10) instead of hanging the analysis forever; the CLI maps
@@ -39,9 +41,9 @@ a live feed exactly like a file.  What differs is the byte transport:
   :class:`~repro.trace.stream.TraceFormatError` a truncated file would.
 
 Failing mid-iteration (malformed bytes, disconnect, timeout) never leaks
-a descriptor: the shared stream lifecycle closes the source, and the
-live sources extend :meth:`~repro.trace.stream.TraceStreamBase.close` to
-also close the accepted socket and unlink a Unix endpoint they bound.
+a descriptor: the shared stream lifecycle closes the raw reader, and
+closing it releases the connection or pipe, and for a Unix endpoint the
+source served, unlinks the socket path and releases its lock.
 """
 
 from __future__ import annotations
@@ -55,10 +57,10 @@ import socket
 import stat
 import time
 from itertools import islice
-from typing import Iterator, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
-from repro.trace.event import Event
-from repro.trace.stream import Columns, TraceFormatError, TraceStreamBase
+from repro.trace.format import _sniff
+from repro.trace.stream import TraceFormatError, TraceStreamBase
 from repro.trace.trace import Trace, TraceInfo
 
 __all__ = [
@@ -98,37 +100,58 @@ def parse_endpoint(spec: str) -> Tuple[str, Union[str, Tuple[str, int]]]:
     return "unix", spec
 
 
-class _TimeoutRawReader(io.RawIOBase):
-    """Raw adapter adding a per-read timeout (via ``select``) to a pipe.
+class _LiveReader(io.RawIOBase):
+    """The one raw reader under a live source, owned by its format
+    reader.
 
-    Sockets get timeouts natively (``settimeout``); pipes and FIFOs do
-    not, so reads go through one ``select`` first.  ``readinto`` keeps
-    single-syscall partial-read semantics.
+    ``read(n)`` is one ``recv``/``read`` syscall on ``handle`` (a
+    connected socket, or a pipe opened unbuffered).  ``timeout`` bounds
+    each read with a ``select`` first: pipes have no native timeout,
+    while a socket's comes from ``settimeout``.  Closing releases all
+    the source holds: the handle and, for a Unix endpoint it served, the
+    socket path and the endpoint lock.
     """
 
-    def __init__(self, raw, timeout: float):
-        self._raw = raw
+    def __init__(self, handle, timeout: Optional[float] = None,
+                 unlink_path: Optional[str] = None,
+                 lock_fd: Optional[int] = None,
+                 lock_path: Optional[str] = None):
+        self._handle = handle
+        self._recv = (handle.recv if isinstance(handle, socket.socket)
+                      else handle.read)
         self._timeout = timeout
+        self._unlink_path = unlink_path
+        self._lock_fd = lock_fd
+        self._lock_path = lock_path
 
-    def readable(self) -> bool:
-        return True
-
-    def fileno(self) -> int:
-        return self._raw.fileno()
-
-    def readinto(self, b) -> int:
-        ready, _, _ = select.select([self._raw.fileno()], [], [],
-                                    self._timeout)
-        if not ready:
-            raise TimeoutError(
-                "live trace source: no data for {:.3g}s".format(
-                    self._timeout))
-        return self._raw.readinto(b)
+    def read(self, n: int) -> bytes:
+        if not n:
+            return b""
+        if self._timeout is not None:
+            ready, _, _ = select.select([self._handle], [], [],
+                                        self._timeout)
+            if not ready:
+                raise TimeoutError(
+                    "live trace source: no data for {:.3g}s".format(
+                        self._timeout))
+        return self._recv(n)
 
     def close(self) -> None:
-        if not self.closed:
-            self._raw.close()
+        if self.closed:
+            return
         super().close()
+        try:
+            self._handle.close()
+        except OSError:
+            pass
+        path, self._unlink_path = self._unlink_path, None
+        if path is not None:
+            try:
+                os.unlink(path)
+            except OSError:
+                pass
+        lock_fd, self._lock_fd = self._lock_fd, None
+        _release_endpoint_lock(lock_fd, self._lock_path)
 
 
 def _is_fifo(path: str) -> bool:
@@ -145,7 +168,7 @@ def _open_fifo_nonblocking(path: str):
     end — outside any read timeout's reach — so the FIFO is opened
     ``O_NONBLOCK`` (which succeeds immediately) and switched back to
     blocking mode.  The per-read ``select`` of
-    :class:`_TimeoutRawReader` then bounds *everything*: a FIFO with no
+    :class:`_LiveReader` then bounds *everything*: a FIFO with no
     producer (or a silent one) is simply never readable, so the very
     first header read raises :class:`TimeoutError` on schedule.
     """
@@ -158,37 +181,10 @@ def _open_fifo_nonblocking(path: str):
     return os.fdopen(fd, "rb", buffering=0)
 
 
-class LiveTraceSource(TraceStreamBase):
-    """Common live-source behaviour: wrap a raw byte feed, autodetect
-    the wire format, and delegate event and column reads to the inner
-    format reader.
-
-    ``raw`` must be an *unbuffered* binary reader (partial reads are how
-    liveness is preserved — see the module docstring); the source owns
-    and closes it.
-    """
-
-    def __init__(self, raw):
-        super().__init__(raw, owns_fp=True)
-
-    def _read_header(self) -> None:
-        from repro.trace.format import stream_trace
-
-        # Autodetection sniffs the leading bytes (blocking until the
-        # producer has sent them) and picks the text or binary reader;
-        # partial reads and header parsing are handled there.
-        self._inner = stream_trace(self._fp)
-        self.info = self._inner.info
-
-    def _events(self) -> Iterator[Event]:
-        return iter(self._inner)
-
-    def _read_block(self, limit: int) -> Columns:
-        return self._inner.read_columns(limit)
-
-
-class PipeTraceSource(LiveTraceSource):
-    """Live events from a FIFO path, a readable fd, or an open pipe.
+def PipeTraceSource(source: Union[str, int, io.RawIOBase],
+                    timeout: Optional[float] = None) -> TraceStreamBase:
+    """Live events from a FIFO path, a readable fd, or an open pipe: the
+    format reader over it.
 
     ``source`` is one of:
 
@@ -209,111 +205,44 @@ class PipeTraceSource(LiveTraceSource):
             result = MultiRunner(
                 [create("st-wdc", source.require_info())]).run(source)
     """
-
-    def __init__(self, source: Union[str, int, io.RawIOBase],
-                 timeout: Optional[float] = None):
-        if isinstance(source, str):
-            if timeout is not None and _is_fifo(source):
-                # with a timeout, even the wait for a producer to open
-                # the write end must be bounded
-                raw = _open_fifo_nonblocking(source)
-            else:
-                raw = open(source, "rb", buffering=0)
-        elif isinstance(source, int):
-            raw = os.fdopen(source, "rb", buffering=0)
+    if isinstance(source, str):
+        if timeout is not None and _is_fifo(source):
+            # with a timeout, even the wait for a producer to open
+            # the write end must be bounded
+            raw = _open_fifo_nonblocking(source)
         else:
-            raw = source
-        if timeout is not None:
-            raw = _TimeoutRawReader(raw, timeout)
-        super().__init__(raw)
+            raw = open(source, "rb", buffering=0)
+    elif isinstance(source, int):
+        raw = os.fdopen(source, "rb", buffering=0)
+    else:
+        raw = source
+    return _sniff(_LiveReader(raw, timeout=timeout), owns_fp=True)
 
 
-class SocketTraceSource(LiveTraceSource):
-    """Live events from one accepted socket connection.
+def SocketTraceSource(conn: socket.socket, timeout: Optional[float] = None,
+                      prefix: bytes = b"",
+                      _unlink_path: Optional[str] = None,
+                      _lock_fd: Optional[int] = None,
+                      _lock_path: Optional[str] = None) -> TraceStreamBase:
+    """Live events from one accepted socket connection: the format
+    reader over it.
 
-    Constructed by :meth:`TraceListener.accept` (or the
+    Called by :meth:`TraceListener.accept` (or the
     :func:`open_live_source` convenience) with an already-connected
-    socket; the source owns the connection and, for a Unix endpoint it
-    served, unlinks the socket path on close.
+    socket.  ``prefix`` is bytes already read off the connection — what
+    :func:`read_handshake` sniffed past a hello frame — and starts the
+    format detection.  The reader owns the connection and, for a Unix
+    endpoint it served, unlinks the socket path and releases the
+    endpoint lock on close.
     """
-
-    def __init__(self, conn: socket.socket, timeout: Optional[float] = None,
-                 prefix: bytes = b"",
-                 _unlink_path: Optional[str] = None,
-                 _lock_fd: Optional[int] = None,
-                 _lock_path: Optional[str] = None):
-        # close() must be safe before base init completes (header
-        # parsing can fail or time out): record resources first
-        self._conn: Optional[socket.socket] = conn
-        self._unlink_path = _unlink_path
-        self._lock_fd = _lock_fd
-        self._lock_path = _lock_path
-        self._owns_fp = False
-        try:
-            conn.settimeout(timeout)
-            # buffering=0 gives the raw SocketIO: read(n) is one recv,
-            # so partial packets flow through immediately
-            raw = conn.makefile("rb", buffering=0)
-            if prefix:
-                # bytes consumed while sniffing a session handshake are
-                # re-attached in front of the socket stream
-                raw = _PrefixedRaw(prefix, raw)
-            super().__init__(raw)
-        except BaseException:
-            self.close()
-            raise
-
-    def close(self) -> None:
-        if getattr(self, "_fp", None) is not None:
-            super().close()
-        conn, self._conn = self._conn, None
-        if conn is not None:
-            try:
-                conn.close()
-            except OSError:
-                pass
-        path, self._unlink_path = self._unlink_path, None
-        if path is not None:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-        lock_fd, self._lock_fd = self._lock_fd, None
-        lock_path, self._lock_path = self._lock_path, None
-        _release_endpoint_lock(lock_fd, lock_path)
-
-
-class _PrefixedRaw(io.RawIOBase):
-    """Serves buffered handshake-sniff bytes before the live stream.
-
-    Unlike :class:`repro.trace.format._PrefixedReader` (which wraps
-    borrowed handles), this adapter *owns* the wrapped reader: live
-    sources close their raw feed, and the prefix layer must not sever
-    that chain.
-    """
-
-    def __init__(self, prefix: bytes, raw):
-        self._prefix = prefix
-        self._raw = raw
-
-    def readable(self) -> bool:
-        return True
-
-    def fileno(self) -> int:
-        return self._raw.fileno()
-
-    def readinto(self, b) -> int:
-        if self._prefix:
-            k = min(len(b), len(self._prefix))
-            b[:k] = self._prefix[:k]
-            self._prefix = self._prefix[k:]
-            return k
-        return self._raw.readinto(b)
-
-    def close(self) -> None:
-        if not self.closed:
-            self._raw.close()
-        super().close()
+    raw = _LiveReader(conn, unlink_path=_unlink_path, lock_fd=_lock_fd,
+                      lock_path=_lock_path)
+    try:
+        conn.settimeout(timeout)
+    except BaseException:
+        raw.close()
+        raise
+    return _sniff(raw, owns_fp=True, prefix=prefix)
 
 
 def _acquire_endpoint_lock(path: str) -> int:
@@ -393,7 +322,7 @@ class TraceListener:
     Example (one live analysis session over a Unix socket)::
 
         listener = TraceListener("/tmp/repro.sock")
-        source = listener.accept(timeout=30)   # SocketTraceSource
+        source = listener.accept(timeout=30)   # the format reader
         with source:
             info = source.require_info()
             session = MultiRunner(
@@ -468,8 +397,10 @@ class TraceListener:
             return addr
         return "{}:{}".format(*addr)
 
-    def accept(self, timeout: Optional[float] = None) -> SocketTraceSource:
-        """Block until one producer connects; return the live source.
+    def accept(self, timeout: Optional[float] = None) -> TraceStreamBase:
+        """Block until one producer connects; return the live source
+        (:func:`SocketTraceSource`: the format reader over the
+        connection).
 
         ``timeout`` bounds both the wait for the connection and every
         subsequent read (:class:`TimeoutError` on expiry).  Whatever
@@ -506,8 +437,8 @@ class TraceListener:
 
         The multi-tenant counterpart of :meth:`accept`
         (:mod:`repro.server` drives this in its accept loop): the
-        returned socket is raw — wrap it in a
-        :class:`SocketTraceSource` (optionally after reading a session
+        returned socket is raw — wrap it with
+        :func:`SocketTraceSource` (optionally after reading a session
         handshake with :func:`read_handshake`) — and the listener stays
         bound, so any number of producers can be accepted concurrently.
         The endpoint's Unix path and lock stay with the listener and are
@@ -544,7 +475,7 @@ class TraceListener:
 
 
 def open_live_source(spec: str,
-                     timeout: Optional[float] = None) -> SocketTraceSource:
+                     timeout: Optional[float] = None) -> TraceStreamBase:
     """Bind ``spec``, wait for one producer, return the connected source
     (the one-call form of ``TraceListener(spec).accept(timeout)``)."""
     return TraceListener(spec).accept(timeout=timeout)
@@ -696,7 +627,7 @@ def read_handshake(conn: socket.socket,
     ``hello`` is the parsed frame dict (or ``None`` for a legacy
     producer that starts straight with trace bytes) and ``prefix`` is
     every sniffed byte *not* consumed by the frame — hand it to
-    :class:`SocketTraceSource(prefix=...) <SocketTraceSource>` so the
+    :func:`SocketTraceSource(prefix=...) <SocketTraceSource>` so the
     format readers see the stream from its true start.  A connection
     closed mid-frame or a frame past :data:`HANDSHAKE_LIMIT` raises
     :class:`~repro.trace.stream.TraceFormatError`.

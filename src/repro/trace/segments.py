@@ -49,9 +49,9 @@ Staleness rules (:func:`match_events`):
 from __future__ import annotations
 
 import hashlib
-from typing import List, Optional, Tuple, Union
+from typing import List, Tuple, Union
 
-from repro.trace.binfmt import MAGIC, _numpy
+from repro.trace.binfmt import MAGIC, _header_fields, _numpy
 from repro.trace.stream import TraceFormatError
 
 __all__ = [
@@ -158,35 +158,11 @@ def match_events(old: TraceSegments, new: TraceSegments) -> int:
     return matched * old.segment_events
 
 
-def _read_varint(data: bytes, pos: int, what: str) -> Tuple[int, int]:
-    value = 0
-    shift = 0
-    while True:
-        if pos >= len(data):
-            raise TraceFormatError(
-                "binary trace truncated in header ({} field)".format(what))
-        b = data[pos]
-        pos += 1
-        if b < 0x80:
-            return value | (b << shift), pos
-        value |= (b & 0x7F) << shift
-        shift += 7
-        if shift > 63:
-            raise TraceFormatError(
-                "oversized varint in header ({} field)".format(what))
-
-
 def _scan_binary(data: bytes, segment_events: int):
     """Boundary scan for a v2 binary trace: returns ``(dims, declared,
     total_events, header_end, segment_end_offsets)`` with offsets
     absolute in ``data``."""
-    pos = len(MAGIC)
-    fields = []
-    for name in ("threads", "locks", "vars", "volatiles", "classes",
-                 "events"):
-        value, pos = _read_varint(data, pos, name)
-        fields.append(value)
-    header_end = pos
+    fields, header_end = _header_fields(data)
     declared = fields[5]
     body = data[header_end:]
     np = _numpy()

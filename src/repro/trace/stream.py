@@ -1,16 +1,18 @@
-"""Shared lifecycle for one-shot trace event streams.
+"""Shared lifecycle and read loop of the one-shot trace readers.
 
 Both trace formats — the v1 text format (:mod:`repro.trace.format`) and
-the v2 binary format (:mod:`repro.trace.binfmt`) — expose the same
-reader contract, and :class:`TraceStreamBase` is its single
-implementation:
+the v2 binary format (:mod:`repro.trace.binfmt`) — are column decoders
+over one byte buffer, and :class:`TraceStreamBase` is their contract:
 
-* **ownership** — constructed from a path, the stream opens and owns the
-  file handle and closes it when iteration finishes (exhaustion or
+* **ownership** — constructed from a path, the stream opens the file
+  ``"rb"``, owns it, and closes it when reading finishes (exhaustion or
   error); constructed from an open file object it does not close it,
-  unless ``owns_fp=True`` is passed (the format-autodetection path in
-  :func:`repro.trace.format.stream_trace` hands over wrapped handles
-  this way).
+  unless ``owns_fp=True`` is passed (format autodetection in
+  :func:`repro.trace.format.stream_trace` and the live sources of
+  :mod:`repro.trace.live` hand over their handles this way).
+  ``prefix`` is bytes already read off the source (sniffed by format
+  detection, or left over from a session handshake): the stream's
+  start.
 * **close-on-init-failure** — header parsing happens during
   construction; if it raises (truncated binary header, undecodable
   bytes, malformed text header), an owned handle is closed before the
@@ -23,24 +25,23 @@ implementation:
   an owned handle on scope exit even when iteration is abandoned early.
 * **column reads** — :meth:`TraceStreamBase.read_columns` is the
   engine's way in: it hands out events as four parallel columns (kind,
-  tid, target, site) instead of one :class:`Event` per event.  A column
-  read returns as soon as it holds decoded events, so it never waits on
-  the source while events are ready; an error found after some good
-  events is raised by the *next* read, so those events reach the
-  caller first.  Column reads and ``iter()`` are two views of the same
-  one-shot stream: using one consumes the stream for the other.
+  tid, target, site) instead of one :class:`Event` per event.  The
+  source is read only while no complete event (or text line) is
+  buffered, one read of what it has ready (``read1`` on buffered
+  handles, one line at a time from text handles such as
+  ``io.StringIO``); a partial event or line is carried over to the next
+  read; an error found after good events is raised by the *next* read,
+  so those events reach the caller first.  Column reads and ``iter()``
+  are two views of the same one-shot stream: using one consumes the
+  stream for the other.
 
 Subclasses implement ``_read_header`` (called during construction; sets
-``self.info`` when the source declares dimensions) plus one of two event
-hooks: ``_read_block`` (a column decoder — the binary reader) or
-``_events`` (a lazy :class:`Event` generator — the text reader).  The
-base class derives the other view: per-event iteration over a column
-decoder, or column reads over an event generator through
-:class:`EventColumns`, the one Event→columns adapter.  The base class
-also runs :meth:`TraceStreamBase.close` when either view ends — by
-exhaustion *or* by an error — and keeps ``events_read``, so no subclass
-can leak its handle or miscount by forgetting a ``finally``
-(``close`` is idempotent).
+``self.info`` when the source declares dimensions) and one decode hook,
+``_decode(limit)``.  The base class runs the read loop and
+:meth:`TraceStreamBase.close` when either view ends — by exhaustion
+*or* by an error — and keeps ``events_read``, so no subclass can leak
+its handle or miscount by forgetting a ``finally`` (``close`` is
+idempotent).
 """
 
 from __future__ import annotations
@@ -55,8 +56,10 @@ from repro.trace.trace import Trace, TraceInfo
 #: ints, or int64 numpy arrays from the vectorized binary decoder.
 Columns = Tuple[Sequence[int], Sequence[int], Sequence[int], Sequence[int]]
 
-#: Events per column read behind per-event iteration of a column decoder.
+#: Events per column read behind per-event iteration.
 _VIEW_EVENTS = 2048
+#: Bytes asked of a byte source per read.
+_READ_SIZE = 1 << 16
 
 
 class TraceFormatError(ValueError):
@@ -71,6 +74,17 @@ class TraceFormatError(ValueError):
         self.lineno = lineno
 
 
+def _byte_reader(fp):
+    """``read(n)`` over ``fp`` returning bytes without waiting for more
+    than the source has ready: ``read1`` where a buffered handle has it,
+    the handle's own ``read`` for raw ones, and one UTF-8 encoded line
+    at a time for text handles."""
+    if isinstance(fp.read(0), str):
+        readline = fp.readline
+        return lambda n: readline().encode("utf-8", "surrogatepass")
+    return getattr(fp, "read1", None) or fp.read
+
+
 class TraceStreamBase:
     """Base of the one-shot trace readers (see the module docstring).
 
@@ -83,21 +97,31 @@ class TraceStreamBase:
         Events handed out so far, by iteration or by column reads.
     """
 
-    _OPEN_MODE = "r"
+    #: Raised when the input ends inside an event (``{}``: the number
+    #: of events decoded before it).
+    _TRUNCATED = "trace truncated mid-event after {} events"
 
     def __init__(self, source: Union[object, str],
-                 owns_fp: Optional[bool] = None):
+                 owns_fp: Optional[bool] = None, prefix: bytes = b""):
         if isinstance(source, str):
-            self._fp = open(source, self._OPEN_MODE)
+            self._fp = open(source, "rb")
             self._owns_fp = True
         else:
             self._fp = source
             self._owns_fp = bool(owns_fp)
         self._consumed = ""  # "" unread, else "events" or "columns"
-        self._event_columns: Optional[EventColumns] = None
         self.events_read = 0
         self.info: Optional[TraceInfo] = None
+        self._data = bytes(prefix)  # buffered input
+        self._pos = 0               # first unconsumed byte of _data
+        self._eof = False
+        self._decoded = 0           # events decoded so far
+        #: the source's authoritative event count (0: read to the end)
+        self._declared = 0
+        #: an error found right after the events last decoded
+        self._pending: Optional[TraceFormatError] = None
         try:
+            self._read = _byte_reader(self._fp)
             self._read_header()
         except BaseException:
             self.close()
@@ -110,29 +134,59 @@ class TraceStreamBase:
         """Consume the source's header, setting ``self.info``."""
         raise NotImplementedError
 
-    def _events(self) -> Iterator[Event]:
-        """The lazy event generator.  By default a view over
-        :meth:`_read_block`; event-at-a-time readers override this
-        instead.  Closing and counting are done by the base class."""
-        read = self._read_block
-        while True:
-            kinds, tids, targets, sites = read(_VIEW_EVENTS)
-            if not len(kinds):
-                return
-            if not isinstance(kinds, list):  # numpy columns
-                kinds, tids = kinds.tolist(), tids.tolist()
-                targets, sites = targets.tolist(), sites.tolist()
-            yield from map(Event, tids, kinds, targets, sites)
+    def _decode(self, limit: int) -> Columns:
+        """Decode up to ``limit`` (> 0) complete events buffered in
+        ``self._data[self._pos:]`` into columns, advancing ``_pos``
+        past what was consumed.  An error after the good events of this
+        call goes to ``self._pending``.  At end of input (``_eof``)
+        every byte left must be consumed or be an event cut short."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # The buffered-read loop
+    # ------------------------------------------------------------------
+    def _fill(self) -> bool:
+        """One read of whatever the source has ready, appended to the
+        unconsumed bytes; False (and ``_eof`` set) at end of input."""
+        chunk = self._read(_READ_SIZE)
+        if not chunk:
+            self._eof = True
+            return False
+        self._data = self._data[self._pos:] + chunk
+        self._pos = 0
+        return True
+
+    def _stop(self) -> None:
+        """After an error: later reads find nothing."""
+        self._pending = None
+        self._data = b""
+        self._pos = 0
+        self._eof = True
 
     def _read_block(self, limit: int) -> Columns:
-        """Decode up to ``limit`` (> 0) events as columns; empty columns
-        mean the stream is exhausted.  By default the
-        :class:`EventColumns` adapter over :meth:`_events`; column
-        decoders override this instead."""
-        adapter = self._event_columns
-        if adapter is None:
-            adapter = self._event_columns = EventColumns(self._events())
-        return adapter.read_columns(limit)
+        """Up to ``limit`` events as columns; empty at the end."""
+        if self._declared:
+            limit = min(limit, self._declared - self._decoded)
+        while limit > 0:
+            error = self._pending
+            if error is not None:
+                self._stop()
+                raise error
+            cols = self._decode(limit)
+            n = len(cols[0])
+            if n:
+                self._decoded += n
+                return cols
+            if self._pending is not None:
+                continue
+            if self._eof:
+                if self._pos < len(self._data):
+                    self._stop()
+                    raise TraceFormatError(
+                        self._TRUNCATED.format(self._decoded))
+                break
+            self._fill()
+        return [], [], [], []
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -179,14 +233,22 @@ class TraceStreamBase:
         return self._guarded_events()
 
     def _guarded_events(self) -> Iterator[Event]:
+        """Per-event iteration: a view over column reads."""
         # Close-on-iteration-end is enforced here, once for every
-        # subclass: a reader whose ``_events`` generator raises
-        # mid-iteration (truncated input, undecodable bytes, a dropped
-        # live connection) must not leak its underlying handle.
+        # subclass: a reader whose decoder raises mid-iteration
+        # (truncated input, undecodable bytes, a dropped live
+        # connection) must not leak its underlying handle.
         try:
-            for event in self._events():
-                self.events_read += 1
-                yield event
+            while True:
+                kinds, tids, targets, sites = self._read_block(_VIEW_EVENTS)
+                if not len(kinds):
+                    return
+                if not isinstance(kinds, list):  # numpy columns
+                    kinds, tids = kinds.tolist(), tids.tolist()
+                    targets, sites = targets.tolist(), sites.tolist()
+                for event in map(Event, tids, kinds, targets, sites):
+                    self.events_read += 1
+                    yield event
         finally:
             self.close()
 
@@ -221,8 +283,8 @@ class TraceStreamBase:
 
 
 class EventColumns:
-    """The Event→columns adapter: column reads over any iterable of
-    :class:`Event` (an in-memory list, a generator, the text reader).
+    """The Event→columns adapter: column reads over in-memory events
+    (any iterable of :class:`Event`, such as a list or a generator).
 
     Reads pull at most ``limit`` events from the shared iterator, so a
     caller may wrap the same iterator again later without losing

@@ -341,16 +341,20 @@ class TestErrors:
             assert "line 3" in str(exc.value) and len(got) == 1
 
     def test_undecodable_bytes_mid_file(self):
-        # enough valid lines that the bad bytes land beyond the text
-        # wrapper's first decoded chunk: the error surfaces mid-iteration
-        # and still maps to a TraceFormatError with a line number
+        # enough valid lines that the bad bytes land beyond the first
+        # decoded block: the error surfaces mid-iteration, after every
+        # good line, as a TraceFormatError naming the bad line itself
         n = 2000
         text = ("# repro trace v1: threads=1 locks=1 vars=1\n"
                 + "T0 rd x0\n" * n)
         stream = stream_trace(io.BytesIO(text.encode() + b"\xff\xfe"))
+        got = []
         with pytest.raises(TraceFormatError, match="not valid text") as exc:
-            list(stream)
-        assert exc.value.lineno > 1
+            for event in stream:
+                got.append(event)
+        assert exc.value.lineno == n + 2
+        assert str(exc.value).startswith("line {}:".format(n + 2))
+        assert len(got) == n
 
 
 class TestDeclaredCount:

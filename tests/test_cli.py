@@ -8,7 +8,7 @@ import threading
 import pytest
 
 from repro.cli import main
-from repro.trace import dump_trace, load_trace
+from repro.trace import dump_trace, load_trace, stream_trace
 from repro.trace.live import send_trace
 from repro.workloads import figure1
 
@@ -278,6 +278,20 @@ class TestConvert:
         code = main(["analyze", binary, "-a", "st-wdc"])
         assert code == 1  # the unprotected write/read pair races
         capsys.readouterr()
+
+    def test_stale_event_count_hint_keeps_every_event(self, tmp_path,
+                                                      capsys):
+        # a text header's events= is a hint that goes stale when lines
+        # are appended; the binary header's count is where readers stop,
+        # so it must count the events written
+        src = tmp_path / "grown.trace"
+        src.write_text("# repro trace v1: threads=2 locks=0 vars=1 events=2\n"
+                       "T0 wr x0 @1\nT0 rd x0 @2\nT1 wr x0 @3\n")
+        binary = str(tmp_path / "grown.bin")
+        assert main(["convert", str(src), binary]) == 0
+        capsys.readouterr()
+        stream = stream_trace(binary)
+        assert len(list(stream)) == 3 and stream.info.num_events == 3
 
     def test_refuses_to_overwrite_input(self, fig1_path, tmp_path, capsys):
         # writing over the input would truncate it mid-stream and

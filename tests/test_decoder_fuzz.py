@@ -1,23 +1,33 @@
-"""Seeded byte-mutation differential fuzz of the v2 binary decoders.
+"""Seeded byte-mutation differential fuzz of the trace decoders.
 
-Valid v2 blobs are mutated — bit flips, truncation, duplicated spans,
-inserted runs of ``0x80`` continuation bytes — and each mutant is read
-four ways: by the numpy decoder and by the pure-Python decoder, each
-from one whole buffer and through a raw reader returning 1–7-byte short
-reads.  All four runs must hand out the same events and end the same
-way: at the end of input, or with the same ``TraceFormatError``
+v2 binary: valid blobs are mutated — bit flips, truncation, duplicated
+spans, inserted runs of ``0x80`` continuation bytes — and each mutant is
+read four ways: by the numpy decoder and by the pure-Python decoder,
+each from one whole buffer and through a raw reader returning 1–7-byte
+short reads.  All four runs must hand out the same events and end the
+same way: at the end of input, or with the same ``TraceFormatError``
 message.  Any other exception, a disagreement, or a run over the time
-bound fails the test.
+bound fails the test.  The magic line is never mutated: a blob without
+it is read as text, which neither binary decoder sees.  Without numpy
+(or with ``REPRO_NO_NUMPY`` set) only the pure-Python half runs.
 
-The magic line is never mutated: a blob without it is read as text,
-which neither binary decoder sees.  Without numpy (or with
-``REPRO_NO_NUMPY`` set) only the pure-Python half runs.  Volume follows
-``--fuzz-count`` / ``FUZZ_COUNT`` (see conftest).
+v1 text: valid blobs (header or not, comments, blank lines, ``\\n``,
+``\\r\\n`` and lone ``\\r`` line breaks, a missing final line
+break, 3- and 4-token lines, ids and sites near 2**63) are mutated by
+bit flips (some break UTF-8), truncation and duplicated spans.  Each
+mutant is read whole and through the 1–7-byte reader, with random
+column-read limits, and compared with a reference that splits the bytes
+into lines and parses each decoded line with ``parse_event_line``: the
+events must be identical, and an error must name the same line with the
+same message, up to the codec's byte position.
+
+Volume follows ``--fuzz-count`` / ``FUZZ_COUNT`` (see conftest).
 """
 
 import io
 import os
 import random
+import re
 import time
 
 import pytest
@@ -25,6 +35,13 @@ import pytest
 from repro.trace import BinaryTraceWriter, TraceFormatError, stream_trace
 from repro.trace.binfmt import MAGIC, _numpy
 from repro.trace.event import Event, KIND_NAMES
+from repro.trace.format import (
+    TraceStream,
+    _parse_header,
+    format_event,
+    header_line,
+    parse_event_line,
+)
 from repro.trace.trace import TraceInfo
 
 #: Wall-clock bound on reading one mutant four ways.
@@ -177,3 +194,144 @@ def test_numpy_half_runs():
         if saved is not None:
             os.environ["REPRO_NO_NUMPY"] = saved
     assert stream._decode == stream._decode_np
+
+
+# ---------------------------------------------------------------------------
+# v1 text
+# ---------------------------------------------------------------------------
+
+#: Ids and sites at and near the signed 64-bit limits, and small ones.
+_TEXT_IDS = (0, 1, 7, 4095, (1 << 63) - 1, (1 << 63) - 2)
+_TEXT_SITES = (0, 1, 17, -1, -(1 << 63), (1 << 63) - 1)
+_LINE_BREAKS = ("\n", "\n", "\r\n", "\r")
+
+
+def _valid_text(rng: random.Random) -> bytes:
+    """A random valid v1 text trace."""
+    lines = []
+    if rng.random() < 0.7:
+        lines.append(header_line(TraceInfo(8, 16, 64, 2, 2,
+                                           rng.choice([0, 40]))))
+    for _ in range(rng.randint(0, 200)):
+        r = rng.random()
+        if r < 0.05:
+            lines.append("# note {}".format(rng.randrange(100)))
+        elif r < 0.1:
+            lines.append(rng.choice(["", "  ", "\t"]))
+        else:
+            line = format_event(Event(
+                rng.choice(_TEXT_IDS), rng.randrange(len(KIND_NAMES)),
+                rng.choice(_TEXT_IDS), rng.choice(_TEXT_SITES)))
+            if rng.random() < 0.3:
+                line = line.rsplit(" ", 1)[0]  # no site: three tokens
+            lines.append(line)
+    text = "".join(line + rng.choice(_LINE_BREAKS) for line in lines)
+    if text and rng.random() < 0.3:
+        text = text.rstrip("\r\n")  # no final line break
+    return text.encode("ascii")
+
+
+def _mutate_text(blob: bytes, rng: random.Random) -> bytes:
+    data = bytearray(blob)
+    for _ in range(rng.randint(1, 3)):
+        how = rng.choice(["flip", "flip", "truncate", "duplicate"])
+        hi = len(data)
+        if not hi:
+            break
+        if how == "flip":
+            for _ in range(rng.randint(1, 4)):
+                data[rng.randrange(hi)] ^= 1 << rng.randrange(8)
+        elif how == "truncate":
+            del data[rng.randrange(hi):]
+        else:
+            a = rng.randrange(hi)
+            b = rng.randint(a, min(hi, a + 40))
+            at = rng.randint(0, hi)
+            data[at:at] = data[a:b]
+    return bytes(data)
+
+
+#: One line with its line break, as a file read in text mode breaks
+#: lines: at ``\\r\\n``, a lone ``\\r`` or ``\\n``.
+_LINE = re.compile(rb"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+\Z")
+_POSITION = re.compile(r"position \d+(-\d+)?")
+
+
+def _text_reference(blob: bytes):
+    """``(events, error_message)`` of ``blob`` read line by line."""
+    events = []
+    for lineno, raw in enumerate(_LINE.findall(blob), 1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return events, "line {}: trace is not valid text ({})".format(
+                lineno, exc)
+        try:
+            if lineno == 1 and _parse_header(line, 1) is not None:
+                continue
+            event = parse_event_line(line, lineno)
+        except TraceFormatError as exc:
+            return events, str(exc)
+        if event is not None:
+            events.append((event.tid, event.kind, event.target,
+                           event.site))
+    return events, None
+
+
+def _read_text(blob: bytes, short: bool, rng: random.Random):
+    """Read ``blob`` with the text reader; returns ``(events,
+    error_message)`` as :func:`_text_reference` does."""
+    source = _ShortReader(blob, rng) if short else io.BytesIO(blob)
+    events = []
+    try:
+        stream = stream_trace(source)
+        assert isinstance(stream, TraceStream)
+        while True:
+            kinds, tids, targets, sites = stream.read_columns(
+                rng.randint(1, 600))
+            if not kinds:
+                return events, None
+            events.extend(zip(tids, kinds, targets, sites))
+    except TraceFormatError as exc:
+        return events, str(exc)
+
+
+def _same_outcome(got, want) -> bool:
+    """Equal events, and equal errors up to the codec's byte position."""
+    (events, error), (ref_events, ref_error) = got, want
+    if error is not None and ref_error is not None:
+        error = _POSITION.sub("position ?", error)
+        ref_error = _POSITION.sub("position ?", ref_error)
+    return events == ref_events and error == ref_error
+
+
+def test_mutated_text_decodes_like_the_line_parser(fuzz_count):
+    rng = random.Random(0x7E47)
+    errors = undecodable = 0
+    for trial in range(fuzz_count):
+        blob = _mutate_text(_valid_text(rng), rng)
+        if blob.startswith(MAGIC):
+            continue  # a binary trace now: not this property
+        want = _text_reference(blob)
+        start = time.perf_counter()
+        for short in (False, True):
+            got = _read_text(blob, short, rng)
+            assert _same_outcome(got, want), \
+                "trial {}: short={} got {} vs reference {}".format(
+                    trial, short, got[1], want[1])
+        assert time.perf_counter() - start < TIME_BOUND_S, trial
+        errors += want[1] is not None
+        undecodable += "not valid text" in (want[1] or "")
+    # the mutations must exercise the error paths, the codec's included
+    assert errors >= fuzz_count // 4
+    assert undecodable >= fuzz_count // 20
+
+
+def test_unmutated_text_round_trips(fuzz_count):
+    rng = random.Random(11)
+    for _ in range(max(fuzz_count // 10, 5)):
+        blob = _valid_text(rng)
+        want = _text_reference(blob)
+        assert want[1] is None
+        for short in (False, True):
+            assert _read_text(blob, short, rng) == want

@@ -10,13 +10,14 @@ mid-stream disconnects, and slow-writer timeouts — each must surface as
 
 Also pins the shared-lifecycle guarantee the live sources rely on: a
 ``TraceStreamBase`` subclass that fails *mid*-iteration closes its owned
-handle even when its ``_events`` generator has no ``finally`` of its own
+handle even when its ``_decode`` hook has no ``finally`` of its own
 (the close guard lives in ``TraceStreamBase.__iter__``).
 """
 
 import gc
 import io
 import os
+import socket
 import threading
 import time
 
@@ -30,7 +31,6 @@ from repro.trace.binfmt import MAGIC
 from repro.trace.event import Event, READ, WRITE
 from repro.trace.live import (
     PipeTraceSource,
-    SocketTraceSource,
     TraceListener,
     connect_endpoint,
     open_live_source,
@@ -97,11 +97,21 @@ def _spawn_raw_client(addr, chunks, delay=0.0, hold_open=0.0):
     return thread
 
 
+def _header_and_two_events(trace, binary):
+    """The wire bytes of ``trace``'s header and first two events."""
+    if binary:
+        # the magic, six one-byte dimensions, then two events
+        return dumps_trace_binary(trace)[:len(MAGIC) + 6 + 7]
+    return "".join(dumps_trace(trace).splitlines(True)[:3]).encode()
+
+
 def _assert_source_closed(source):
-    """Every layer of a live source is released after an error."""
+    """Every layer of a live source is released after an error: its raw
+    reader and the connection it holds."""
     assert source._fp.closed
-    if isinstance(source, SocketTraceSource):
-        assert source._conn is None
+    conn = source._fp._handle
+    if isinstance(conn, socket.socket):
+        assert conn.fileno() == -1
 
 
 def _open_fd_count():
@@ -209,17 +219,18 @@ class TestSocketSource:
         sender.join()
         assert result.report("st-wdc").dynamic_count == 1
 
-    def test_trickle_feed_yields_buffered_events_immediately(self, tmp_path):
+    @pytest.mark.parametrize("binary", [True, False])
+    def test_trickle_feed_yields_buffered_events_immediately(self, tmp_path,
+                                                             binary):
         # regression: the binary reader used to wait for a 32-byte
         # window before decoding, so complete events already received
         # sat undelivered while the producer idled — a slow live feed
         # must yield what has arrived, not block for more bytes
         trace = figure1()
-        blob = dumps_trace_binary(trace)
-        split = len(MAGIC) + 6 + 7  # header (6 one-byte dims) + 2 events
         addr = str(tmp_path / "trickle.sock")
         listener = TraceListener(addr)
-        client = _spawn_raw_client(addr, [blob[:split]], hold_open=3.0)
+        client = _spawn_raw_client(
+            addr, [_header_and_two_events(trace, binary)], hold_open=3.0)
         source = listener.accept(timeout=0.5)
         received = []
         with pytest.raises(TimeoutError):
@@ -229,16 +240,16 @@ class TestSocketSource:
         # both fully-delivered events came through before the stall hit
         assert _same_events(received, trace.events[:2])
 
-    def test_trickle_feed_reaches_engine_before_stall(self, tmp_path):
+    @pytest.mark.parametrize("binary", [True, False])
+    def test_trickle_feed_reaches_engine_before_stall(self, tmp_path, binary):
         # engine twin of the trickle test: the column path replays the
         # buffered events before the stall's TimeoutError propagates,
         # and max_events stops the installment at exactly that many
         trace = figure1()
-        blob = dumps_trace_binary(trace)
-        split = len(MAGIC) + 6 + 7  # header (6 one-byte dims) + 2 events
         addr = str(tmp_path / "trickle_engine.sock")
         listener = TraceListener(addr)
-        client = _spawn_raw_client(addr, [blob[:split]], hold_open=3.0)
+        client = _spawn_raw_client(
+            addr, [_header_and_two_events(trace, binary)], hold_open=3.0)
         source = listener.accept(timeout=0.5)
         recorder, session = recording_session(source.require_info())
         session.feed(source, max_events=1)
@@ -251,6 +262,41 @@ class TestSocketSource:
         assert session.finish().events_processed == 2
         client.join()
         _assert_source_closed(source)
+
+    @pytest.mark.parametrize("binary", [True, False])
+    def test_column_read_returns_buffered_events_before_timeout(
+            self, tmp_path, binary):
+        # regression: a text column read waited for more lines until the
+        # read timeout fired, holding back complete lines already
+        # received; it must return them at once, like binary
+        trace = figure1()
+        addr = str(tmp_path / "cols.sock")
+        listener = TraceListener(addr)
+        release = threading.Event()
+
+        def produce():
+            sock = connect_endpoint(addr, connect_timeout=10)
+            try:
+                sock.sendall(_header_and_two_events(trace, binary))
+                release.wait(10)
+            finally:
+                sock.close()
+
+        client = threading.Thread(target=produce, daemon=True)
+        client.start()
+        timeout = 2.0
+        source = listener.accept(timeout=timeout)
+        try:
+            start = time.monotonic()
+            kinds, tids, targets, sites = source.read_columns(256)
+            elapsed = time.monotonic() - start
+        finally:
+            release.set()
+            client.join()
+            source.close()
+        assert elapsed < timeout / 2
+        assert list(zip(tids, kinds, targets, sites)) == \
+            event_rows(trace.events[:2])
 
     def test_reconnect_refused_after_accept(self, tmp_path):
         addr = str(tmp_path / "one.sock")
@@ -660,20 +706,22 @@ class TestPipeSource:
 
 
 class _ForgetfulStream(TraceStreamBase):
-    """A reader whose ``_events`` has no ``finally`` of its own — the
+    """A reader whose ``_decode`` has no ``finally`` of its own — the
     base class must still close an owned handle when it fails or
     finishes mid-iteration (the latent one-shot bug class)."""
-
-    _OPEN_MODE = "r"
 
     def _read_header(self) -> None:
         pass
 
-    def _events(self):
-        for line in self._fp:
-            if line.startswith("boom"):
-                raise TraceFormatError("boom mid-iteration")
-            yield Event(0, READ, 0, 0)
+    def _decode(self, limit):
+        end = self._data.find(b"\n", self._pos)
+        if end < 0:
+            return [], [], [], []
+        line = self._data[self._pos:end]
+        self._pos = end + 1
+        if line.startswith(b"boom"):
+            raise TraceFormatError("boom mid-iteration")
+        return [READ], [0], [0], [0]
 
 
 class TestMidIterationClose:

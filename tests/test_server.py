@@ -34,8 +34,9 @@ from repro.trace.live import (
     read_handshake,
     send_trace,
 )
+from repro.trace.event import READ, WRITE, Event
 from repro.trace.stream import TraceFormatError
-from repro.trace.trace import TraceInfo
+from repro.trace.trace import Trace, TraceInfo
 from repro.workloads import figure1
 from repro.workloads.dacapo import dacapo_trace
 
@@ -127,6 +128,18 @@ def _hello_conn(addr, tenant, total=None, timeout=10.0):
     sock.sendall(format_hello(tenant, total=total))
     resume = parse_welcome(_read_reply_line(sock, timeout))
     return sock, resume
+
+
+def _refused_gap(addr, tenant):
+    """A first hello for ``tenant`` that asks to resume at event 5, which
+    nothing can serve: the server refuses it ``gap``."""
+    sock = connect_endpoint(addr, connect_timeout=10)
+    try:
+        sock.sendall(format_hello(tenant, resume=5))
+        with pytest.raises(TraceFormatError, match="gap"):
+            parse_welcome(_read_reply_line(sock, 10.0))
+    finally:
+        sock.close()
 
 
 def _send_binary_events(sock, trace, events):
@@ -410,6 +423,34 @@ class TestConnectionEnds:
                 _hello_conn(srv.addr, "wide")
             srv.stop()
         assert srv.code == 2
+
+    def test_refused_fresh_tenant_leaves_no_session(self, tmp_path):
+        # a first hello that cannot attach (nothing to resume from at
+        # offset 5) must not leave a never-attached session behind:
+        # sweeps skipped it, status listed it, and shutdown sealed it
+        # failed, exiting 2 for a tenant nobody ever fed
+        with _Server(tmp_path, resume_grace=0.2) as srv:
+            _refused_gap(srv.addr, "fresh")
+            time.sleep(1.0)  # sweeps at resume_grace=0.2
+            doc = query(srv.addr, {"command": "status"})
+            assert [r[0] for r in doc["results"]["data"]] == []
+            srv.stop()
+        assert "tenant fresh" not in srv.out.getvalue()
+        assert srv.code == 0
+
+    def test_refused_name_can_start_from_zero(self, tmp_path):
+        trace = Trace([Event(0, WRITE, 0, 1), Event(0, READ, 0, 2)])
+        with _Server(tmp_path) as srv:
+            _refused_gap(srv.addr, "fresh")
+            sock, resume = _hello_conn(srv.addr, "fresh", total=len(trace))
+            assert resume == 0
+            _send_binary_events(sock, trace, trace.events)
+            sock.close()
+            state, events, body = srv.wait_block("fresh")
+            assert (state, events) == ("complete", len(trace))
+            srv.stop()
+        assert srv.out.getvalue().count("--- tenant fresh:") == 1
+        assert srv.code == 0  # one complete, race-free session
 
     def test_hangup_before_the_welcome_stays_resumable(self, tmp_path,
                                                       avrora):

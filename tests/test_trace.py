@@ -189,6 +189,13 @@ class TestFormat:
         with pytest.raises(TraceFormatError, match="bad id"):
             loads_trace("T0 rd xyz\n")
 
+    def test_unconvertible_id_digits_are_bad_ids(self):
+        # digits int() refuses (a superscript, more than it converts)
+        # are a malformed line, not a ValueError escaping the reader
+        for token in ("x\u00b2", "x" + "1" * 5000):
+            with pytest.raises(TraceFormatError, match="line 1: bad id"):
+                loads_trace("T0 rd {}\n".format(token))
+
     def test_bad_field_count_rejected(self):
         with pytest.raises(TraceFormatError, match="expected"):
             loads_trace("T0 rd\n")
