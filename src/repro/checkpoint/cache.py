@@ -87,18 +87,22 @@ def _suffix_stream(path: str, segs: TraceSegments,
     seeked straight to the boundary's byte offset, so the skipped prefix
     is never parsed.  The reader gets the real header, re-read from the
     file, as its ``prefix``; a comment or blank line at the boundary
-    stays one."""
-    offset = segs.header_end + segs.boundaries[
-        from_events // segs.segment_events - 1]
+    stays one, and a text reader numbers lines as in the whole file."""
+    k = from_events // segs.segment_events - 1
     fp = open(path, "rb")
     try:
         header = fp.read(segs.header_end)
-        fp.seek(offset)
+        fp.seek(segs.header_end + segs.boundaries[k])
     except BaseException:
         fp.close()
         raise
-    reader = BinaryTraceStream if segs.fmt == "binary-v2" else TraceStream
-    return reader(fp, owns_fp=True, prefix=header)
+    if segs.fmt == "binary-v2":
+        return BinaryTraceStream(fp, owns_fp=True, prefix=header)
+    # a lone "\r" ending the header would pair with a "\n" that starts
+    # the suffix (a blank line), so the header ends in "\n" here
+    return TraceStream(fp, owns_fp=True,
+                       prefix=header.rstrip(b"\r\n") + b"\n",
+                       skipped_lines=segs.boundary_lines[k])
 
 
 class ResultCache:

@@ -30,6 +30,7 @@ wall-clock factors are always reported alongside (Tables 3–6 print both).
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict
 
 from repro.trace.event import ACQUIRE, READ, RELEASE, WRITE
@@ -119,15 +120,18 @@ class TraceProfile:
             self.vars_per_cs = 0.0
 
 
-_PROFILES: Dict[int, TraceProfile] = {}
+#: Held weakly: a profile goes with its trace, so a later trace that
+#: reuses the freed trace's ``id`` never inherits it.
+_PROFILES: "weakref.WeakKeyDictionary[Trace, TraceProfile]" = \
+    weakref.WeakKeyDictionary()
 
 
 def profile(trace: Trace) -> TraceProfile:
     """Memoized :class:`TraceProfile` for a trace."""
-    key = id(trace)
-    if key not in _PROFILES:
-        _PROFILES[key] = TraceProfile(trace)
-    return _PROFILES[key]
+    p = _PROFILES.get(trace)
+    if p is None:
+        p = _PROFILES[trace] = TraceProfile(trace)
+    return p
 
 
 def modeled_nanos(trace: Trace, analysis: str) -> float:

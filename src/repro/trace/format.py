@@ -30,20 +30,35 @@ dimensions would surface later as a misleading "no header" error.)
 :func:`stream_trace` returns a one-shot stream: its ``info`` attribute
 is the :class:`~repro.trace.trace.TraceInfo` parsed from that header (or
 ``None`` for header-less text).  :class:`TraceStream` is a column
-decoder: it decodes and splits each block of complete lines once, and
-its column reads (what :class:`repro.core.engine.MultiRunner` consumes)
-parse lines straight into four int columns; iterating it yields
-:class:`~repro.trace.event.Event` objects as a view over the same reads.
-The full :class:`~repro.trace.trace.Trace` is never materialized, so
-arbitrarily large captures are analyzed in bounded memory.  A stream is
-strictly one-shot: it cannot be rewound, and a second iteration raises
-:class:`RuntimeError`; it supports ``with`` for deterministic cleanup
-when abandoned early (the shared lifecycle and read loop live in
+decoder: its column reads (what :class:`repro.core.engine.MultiRunner`
+consumes) fill four int columns straight from the byte buffer, and
+iterating it yields :class:`~repro.trace.event.Event` objects as a view
+over the same reads.  The full :class:`~repro.trace.trace.Trace` is
+never materialized, so arbitrarily large captures are analyzed in
+bounded memory.  A stream is strictly one-shot: it cannot be rewound,
+and a second iteration raises :class:`RuntimeError`; it supports
+``with`` for deterministic cleanup when abandoned early (the shared
+lifecycle and read loop live in
 :class:`repro.trace.stream.TraceStreamBase`).  Lines end at ``\\n``,
 ``\\r\\n`` or a lone ``\\r``, as in a file read in text mode.
 Malformed lines, and bytes that are not UTF-8, raise
 :class:`TraceFormatError` carrying the offending line number
 (``.lineno``).
+
+The reader takes its input in blocks of complete lines, at most
+16 KiB of them at a time.  A block of *clean* lines — each exactly as
+:func:`format_event` writes it, ``T<digits> <op> <prefix><digits>
+@<digits>`` and a ``\\n``, with at most 18 digits per number — is
+checked by one compiled pattern and parsed by a few C-level passes over
+the whole block (split, translate, ``int``).  Any other block (a
+comment, a blank line, a ``\\r``, a three-token line, a negative or
+19-digit number, odd spacing, no final line break) goes line by line
+through :func:`parse_event_line`'s parser, which stays the reference:
+both paths accept the same values and report the same errors at the
+same lines.  The header is parsed on its own, so the first block of
+events can be clean too.  The segment scan of
+:mod:`repro.trace.segments` counts lines with the same rules
+(:func:`_scan_lines`).
 
 Format autodetection
 --------------------
@@ -69,6 +84,7 @@ threads logged no events).
 from __future__ import annotations
 
 import io
+import re
 from typing import BinaryIO, List, Optional, TextIO, Tuple, Union
 
 from repro.trace.event import Event, KIND_NAMES, NAME_KINDS
@@ -257,49 +273,159 @@ def _split_lines(text: str) -> List[str]:
     return lines
 
 
+#: Bytes of lines taken off the buffer at a time: bounds the parse's
+#: temporaries (a clean block's tokens, a slow block's decoded lines).
+_BLOCK_BYTES = 1 << 14
+
+#: One line and its line break: ``\\n``, ``\\r\\n`` or a lone ``\\r``.
+_LINE = re.compile(rb"[^\r\n]*(?:\r\n?|\n)?")
+
+#: A run of clean event lines, each exactly as :func:`format_event`
+#: writes it.  At most 18 digits a number keeps every value below 2**63.
+_CLEAN = re.compile(
+    rb"(?:T[0-9]{1,18} (?:"
+    + b"|".join(re.escape(name.encode()) for name in KIND_NAMES.values())
+    + rb") [" + "".join(sorted(set(_PREFIX.values()))).encode()
+    + rb"][0-9]{1,18} @[0-9]{1,18}\n)*")
+
+#: Operation name → kind, for the op tokens of a clean block.
+_KIND_OF = {name.encode(): kind for kind, name in KIND_NAMES.items()}
+
+#: Every byte but the digits and the separators: deleting them leaves a
+#: clean line's three numbers (no operation name has a digit).
+_NOT_NUMBERS = bytes(b for b in range(256) if b not in b"0123456789 \n")
+
+
+def _lines_end(data: bytes, pos: int, eof: bool) -> int:
+    """Where the next block of complete lines in ``data[pos:]`` ends:
+    past the last line break in the next :data:`_BLOCK_BYTES` bytes
+    when there is one.  When there is none: at end of input, the end;
+    before it, past the last line break buffered.  ``pos`` or less: no
+    line is complete yet.  A ``\\r`` whose next byte is out of reach
+    ends no block, since it may start a ``\\r\\n``."""
+    stop = min(pos + _BLOCK_BYTES, len(data))
+    end = max(data.rfind(b"\n", pos, stop),
+              data.rfind(b"\r", pos, stop - 1)) + 1
+    if end > pos:
+        return end
+    if eof:
+        return len(data)
+    return max(data.rfind(b"\n", pos),
+               data.rfind(b"\r", pos, len(data) - 1)) + 1
+
+
+def _is_event_line(raw: bytes) -> bool:
+    """Whether the line ``raw`` holds an event, or a malformed one, by
+    :func:`_parse_line`'s rule: not blank (``str.split`` finds a token)
+    and not a comment (the first token starts with ``#``).  A line that
+    is not UTF-8 counts, since the reader stops there."""
+    line = raw.decode("utf-8", "replace").lstrip()
+    return bool(line) and line[0] != "#"
+
+
+def _scan_lines(data: bytes, pos: int, want: int) -> Tuple[int, int, int]:
+    """Walk the lines of ``data[pos:]``, the rest of the input, by the
+    reader's rules, through its ``want``-th event line (a line neither
+    blank nor a comment, see :func:`_is_event_line`) or to the end.
+
+    Returns ``(events, lines, end)``: the event lines and the lines
+    walked, and the offset just past the last.  This is the segment
+    scan's line rule (:mod:`repro.trace.segments`): a clean block's
+    lines are all events, so only other blocks are walked line by line.
+    """
+    events = lines = 0
+    size = len(data)
+    while pos < size and events < want:
+        end = _lines_end(data, pos, True)
+        if _CLEAN.fullmatch(data, pos, end):
+            n = data.count(b"\n", pos, end)
+            if events + n > want:  # the last line wanted ends inside
+                n = want - events
+                end = pos
+                for _ in range(n):
+                    end = data.index(b"\n", end) + 1
+            events += n
+            lines += n
+            pos = end
+            continue
+        while pos < end and events < want:
+            stop = _LINE.match(data, pos, end).end()
+            lines += 1
+            events += _is_event_line(data[pos:stop])
+            pos = stop
+    return events, lines, pos
+
+
 class TraceStream(TraceStreamBase):
     """A one-shot column decoder over v1 trace text (the shared contract
     is :class:`repro.trace.stream.TraceStreamBase`'s).  ``info`` is the
     :class:`TraceInfo` from the header comment, or ``None`` if absent.
 
-    Each block of complete lines in the byte buffer is decoded and split
-    once; a column read parses at most ``limit`` of those lines straight
-    into the columns, with the parser :func:`parse_event_line` wraps.
+    The input is taken in blocks of complete lines (see the module
+    docstring).  A clean block is parsed into columns at once and handed
+    out ``limit`` events at a time; any other block is decoded and
+    split, and a column read parses at most ``limit`` of its lines, with
+    the parser :func:`parse_event_line` wraps.
+
+    ``skipped_lines`` counts source lines that the input leaves out
+    right after its header (a resumed read seeks past them), so errors
+    name lines of the whole source; it is ignored without a header.
     """
 
+    def __init__(self, source: Union[object, str],
+                 owns_fp: Optional[bool] = None, prefix: bytes = b"",
+                 skipped_lines: int = 0):
+        self._skipped = skipped_lines
+        super().__init__(source, owns_fp, prefix)
+
     def _read_header(self) -> None:
-        self._lines: List[str] = []  # split, not yet parsed
+        #: a clean block's columns, and the first event not handed out
+        self._cols: Optional[Columns] = None
+        self._at = 0
+        self._lines: List[str] = []  # a slow block's lines, not parsed
         self._next = 0               # first unparsed line in _lines
-        self._lineno = 0             # lines parsed so far
+        self._lineno = 0             # lines parsed or taken as clean
         #: undecodable bytes right after the last line in _lines
         self._bad: Optional[TraceFormatError] = None
-        # The header, when present, is the first line; split the first
-        # block so ``info`` is available before reading starts.
-        while not self._split():
+        # The header, when present, is the first line: parse it on its
+        # own, so ``info`` is available before reading starts and the
+        # first block of events can be clean.
+        while True:
+            end = _lines_end(self._data, self._pos, self._eof)
+            if end > self._pos:
+                break
             if self._eof:
                 return  # empty input
             self._fill()
-        if not self._lines:
-            raise self._bad
-        self.info = _parse_header(self._lines[0], 1)
+        end = _LINE.match(self._data, self._pos, end).end()
+        try:
+            line = self._data[self._pos:end].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise TraceFormatError(
+                "line 1: trace is not valid text ({})".format(exc), 1)
+        self.info = _parse_header(line, 1)
         if self.info is not None:
-            self._next = self._lineno = 1  # consumed as header
+            self._pos = end  # consumed as header
+            self._lineno = 1 + self._skipped
 
-    def _split(self) -> bool:
-        """Decode and split the buffered complete lines (at end of
-        input, everything left) into ``_lines``; False when there are
-        none.  A trailing ``\\r`` waits for the next read, which may
-        start with the ``\\n`` of its ``\\r\\n``."""
+    def _next_block(self) -> bool:
+        """Take the next block of complete lines off the buffer: a clean
+        one is parsed into ``_cols``, any other is decoded and split into
+        ``_lines``.  False when no line is complete."""
         data, pos = self._data, self._pos
-        if self._eof:
-            end = len(data)
-        else:
-            end = max(data.rfind(b"\n", pos),
-                      data.rfind(b"\r", pos, len(data) - 1)) + 1
+        end = _lines_end(data, pos, self._eof)
         if end <= pos:
             return False
         block = data[pos:end]
         self._pos = end
+        if _CLEAN.fullmatch(block):
+            kinds = list(map(_KIND_OF.__getitem__, block.split()[1::4]))
+            numbers = list(map(int, block.translate(None, _NOT_NUMBERS)
+                               .split()))
+            self._cols = kinds, numbers[0::3], numbers[1::3], numbers[2::3]
+            self._at = 0
+            self._lineno += len(kinds)
+            return True
         try:
             lines = _split_lines(block.decode("utf-8"))
         except UnicodeDecodeError as exc:
@@ -317,12 +443,25 @@ class TraceStream(TraceStreamBase):
 
     def _decode(self, limit: int) -> Columns:
         while True:
+            cols = self._cols
+            if cols is not None:
+                at = self._at
+                end = at + limit
+                if end < len(cols[0]):
+                    self._at = end
+                else:
+                    self._cols = None
+                    if not at:
+                        return cols
+                kinds, tids, targets, sites = cols
+                return (kinds[at:end], tids[at:end], targets[at:end],
+                        sites[at:end])
             lines, start = self._lines, self._next
             if start == len(lines):
                 if self._bad is not None:
                     self._pending, self._bad = self._bad, None
                     return [], [], [], []
-                if not self._split():
+                if not self._next_block():
                     return [], [], [], []
                 continue
             # at most ``limit`` lines: each holds at most one event

@@ -21,12 +21,14 @@ The mechanism is content hashing in fixed *event-count* segments:
   exact-match fast path: byte-identical trace ⇒ warm cache hit.
 
 Segment boundaries are found without parsing: the text scanner counts
-event lines (non-blank, non-comment), the binary scanner counts LEB128
-varint terminators (a byte with the high bit clear ends a varint; every
-third terminator ends an event) — vectorized with numpy when available,
-with a pure-Python fallback.  The binary scan honors the header's
-declared event count exactly like the reader does: trailing bytes past
-the declared count never shift boundaries.
+event lines (non-blank, non-comment) with the reader's own line-break
+and blank-line rules, and records each boundary's line count so a
+suffix read names lines as a whole-file read does; the binary scanner
+counts LEB128 varint terminators (a byte with the high bit clear ends a
+varint; every third terminator ends an event) — vectorized with numpy
+when available, with a pure-Python fallback.  The binary scan honors the
+header's declared event count exactly like the reader does: trailing
+bytes past the declared count never shift boundaries.
 
 Digests are format-specific by construction (the same events encode to
 different bytes in v1 and v2); the result cache keys on the format, so
@@ -86,15 +88,23 @@ class TraceSegments:
     so ``header_end + boundaries[k-1]`` is the absolute seek offset of
     the ``k * segment_events``-event boundary — how the result cache
     starts a suffix replay without parsing the prefix.
+
+    ``boundary_lines`` (text only) holds the lines after the header up
+    to each full segment's end, so a suffix read from a boundary names
+    its lines as the whole file does.  It describes the scanned file
+    alone and is not kept in sidecars (:meth:`to_doc`): matching needs
+    only the digests, and a suffix is always read after a fresh scan.
     """
 
     __slots__ = ("fmt", "segment_events", "total_events", "dims",
-                 "digests", "trace_digest", "header_end", "boundaries")
+                 "digests", "trace_digest", "header_end", "boundaries",
+                 "boundary_lines")
 
     def __init__(self, fmt: str, segment_events: int, total_events: int,
                  dims: Tuple[int, int, int, int, int],
                  digests: Tuple[str, ...], trace_digest: str,
-                 header_end: int = 0, boundaries: Tuple[int, ...] = ()):
+                 header_end: int = 0, boundaries: Tuple[int, ...] = (),
+                 boundary_lines: Tuple[int, ...] = ()):
         self.fmt = fmt
         self.segment_events = segment_events
         self.total_events = total_events
@@ -103,6 +113,7 @@ class TraceSegments:
         self.trace_digest = trace_digest
         self.header_end = header_end
         self.boundaries = tuple(boundaries)
+        self.boundary_lines = tuple(boundary_lines)
 
     def match_events(self, other: "TraceSegments") -> int:
         """Events of ``other`` proven identical to this trace's prefix
@@ -195,41 +206,38 @@ def _scan_binary(data: bytes, segment_events: int):
 
 def _scan_text(data: bytes, segment_events: int):
     """Boundary scan for a v1 text trace: returns ``(dims, total_events,
-    header_end, segment_end_offsets)``.  Event lines are counted without
-    parsing; the first line must be the dimension header (segmenting a
-    header-less capture is refused — every checkpoint flow needs the
-    dimensions anyway)."""
-    from repro.trace.format import _parse_header
+    header_end, segment_end_offsets, segment_end_lines)``.  Event lines
+    are counted without parsing, by the reader's own line rules
+    (:func:`repro.trace.format._scan_lines`); the first line must be the
+    dimension header (segmenting a header-less capture is refused —
+    every checkpoint flow needs the dimensions anyway)."""
+    from repro.trace.format import _LINE, _parse_header, _scan_lines
 
-    nl = data.find(b"\n")
-    first_end = len(data) if nl < 0 else nl + 1
+    first_end = _LINE.match(data).end()
     try:
         first = data[:first_end].decode("utf-8")
     except UnicodeDecodeError as exc:
         raise TraceFormatError(
             "line 1: trace is not valid text ({})".format(exc), 1)
-    info = _parse_header(first.rstrip("\n"), 1)
+    info = _parse_header(first, 1)
     if info is None:
         raise TraceFormatError(
             "trace has no '# repro trace v1:' header; segment hashing "
             "needs declared dimensions")
     dims = (info.num_threads, info.num_locks, info.num_vars,
             info.num_volatiles, info.num_classes)
-    total = 0
+    total = lines = 0
     seg_ends: List[int] = []
+    seg_lines: List[int] = []
     pos = first_end
-    size = len(data)
-    find = data.find
-    while pos < size:
-        nl = find(b"\n", pos)
-        end = size if nl < 0 else nl + 1
-        line = data[pos:end].strip()
-        if line and not line.startswith(b"#"):
-            total += 1
-            if total % segment_events == 0:
-                seg_ends.append(end)
-        pos = end
-    return dims, total, first_end, seg_ends
+    while True:
+        events, walked, pos = _scan_lines(data, pos, segment_events)
+        total += events
+        lines += walked
+        if events < segment_events:
+            return dims, total, first_end, seg_ends, seg_lines
+        seg_ends.append(pos)
+        seg_lines.append(lines)
 
 
 def segment_trace(source: Union[str, bytes],
@@ -253,9 +261,11 @@ def segment_trace(source: Union[str, bytes],
     if data[:len(MAGIC)] == MAGIC:
         dims, _declared, total, header_end, seg_ends = _scan_binary(
             data, segment_events)
+        seg_lines: List[int] = []
         fmt = "binary-v2"
     else:
-        dims, total, header_end, seg_ends = _scan_text(data, segment_events)
+        dims, total, header_end, seg_ends, seg_lines = _scan_text(
+            data, segment_events)
         fmt = "text-v1"
     digests = []
     prev = header_end
@@ -264,4 +274,5 @@ def segment_trace(source: Union[str, bytes],
         prev = end
     return TraceSegments(fmt, segment_events, total, dims,
                          tuple(digests), trace_digest, header_end,
-                         tuple(end - header_end for end in seg_ends))
+                         tuple(end - header_end for end in seg_ends),
+                         tuple(seg_lines))

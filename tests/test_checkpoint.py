@@ -27,7 +27,7 @@ from repro.cli import main as cli_main
 from repro.core.engine import MultiRunner
 from repro.core.registry import create
 from repro.reporting import print_entries
-from repro.trace.format import dump_trace, format_event
+from repro.trace.format import dump_trace, format_event, header_line
 from repro.trace.segments import (
     TraceSegments,
     match_events,
@@ -434,6 +434,66 @@ def test_cache_resumed_suffix_reads_like_a_cold_pass(tmp_path, avrora):
     assert "resumed from checkpoint at {}".format(boundary) in runs[0][2]
     assert "(cold)" in runs[1][2]
     assert runs[0][:2] == runs[1][:2]
+
+
+@pytest.mark.parametrize("odd", ["lone-cr", "fs-line"])
+def test_cache_resume_splits_lines_like_the_reader(tmp_path, avrora, odd):
+    """The segment scan breaks lines and skips blank ones by the
+    reader's rules.  On a trace with lone ``\\r`` line breaks, or with a
+    line holding only U+001C (whitespace to ``str.split``, not to
+    ``bytes.strip``), a run resumed after an append prints exactly what
+    a cold run prints."""
+    seg = 200
+    names = ["st-wdc", "fto-hb"]
+    brk = "\r" if odd == "lone-cr" else "\n"
+    lines = [header_line(avrora)] + [format_event(e) for e in avrora.events]
+    if odd == "fs-line":
+        lines.insert(3, "\x1c")
+    path = str(tmp_path / "t.trace")
+    with open(path, "wb") as fp:
+        fp.write("".join(line + brk for line in lines).encode())
+    cache = str(tmp_path / "cache")
+    analyze_cached(cache, path, names, out=io.StringIO(),
+                   err=io.StringIO(), segment_events=seg)
+    with open(path, "ab") as fp:
+        fp.write("".join(format_event(e) + brk
+                         for e in avrora.events[:300]).encode())
+    runs = []
+    for root in (cache, str(tmp_path / "cold")):
+        out, err = io.StringIO(), io.StringIO()
+        code = analyze_cached(root, path, names, out=out, err=err,
+                              segment_events=seg)
+        runs.append((code, out.getvalue(), err.getvalue()))
+    total = len(avrora) + 300
+    boundary = (len(avrora) // seg) * seg
+    assert ("replayed {} of {} events (resumed from checkpoint at {})"
+            .format(total - boundary, total, boundary)) in runs[0][2]
+    assert "replayed {} of {} events (cold)".format(total, total) \
+        in runs[1][2]
+    assert runs[0][:2] == runs[1][:2]
+
+
+def test_cache_resumed_error_names_the_cold_line(tmp_path, avrora):
+    """A malformed line appended to a cached trace is reported at its
+    line of the whole file by the resumed run, as by a cold run."""
+    seg = 200
+    path = str(tmp_path / "t.trace")
+    _dump(avrora, path, False)
+    cache = str(tmp_path / "cache")
+    names = ["st-wdc"]
+    analyze_cached(cache, path, names, out=io.StringIO(),
+                   err=io.StringIO(), segment_events=seg)
+    with open(path, "a") as fp:
+        fp.write("# note\n\nT0 bogus x1 @1\n")
+    messages = []
+    for root in (cache, str(tmp_path / "cold")):
+        with pytest.raises(TraceFormatError) as raised:
+            analyze_cached(root, path, names, out=io.StringIO(),
+                           err=io.StringIO(), segment_events=seg)
+        messages.append(str(raised.value))
+    # the header, the events, the comment and the blank line come first
+    expected = "line {}: unknown operation 'bogus'".format(len(avrora) + 4)
+    assert messages == [expected, expected]
 
 
 def test_cache_rewrite_falls_back_before_edit(tmp_path, avrora):

@@ -21,6 +21,14 @@ into lines and parses each decoded line with ``parse_event_line``: the
 events must be identical, and an error must name the same line with the
 same message, up to the codec's byte position.
 
+Those blobs seldom hold a clean block (every line as ``format_event``
+writes it), so writer-shaped blobs — runs of ``format_event`` lines
+with ``\\n`` breaks, numbers of 1–19 digits around 10**18 and 2**63,
+and a few defects inside a clean run — gate the reader's block fast
+path against the same reference, as they are and mutated.  The segment
+scan is checked against the reader on the valid blobs, with lines of
+characters that ``str.split`` takes for whitespace.
+
 Volume follows ``--fuzz-count`` / ``FUZZ_COUNT`` (see conftest).
 """
 
@@ -32,7 +40,9 @@ import time
 
 import pytest
 
+from repro.checkpoint.cache import _suffix_stream
 from repro.trace import BinaryTraceWriter, TraceFormatError, stream_trace
+from repro.trace import format as text_format
 from repro.trace.binfmt import MAGIC, _numpy
 from repro.trace.event import Event, KIND_NAMES
 from repro.trace.format import (
@@ -42,6 +52,7 @@ from repro.trace.format import (
     header_line,
     parse_event_line,
 )
+from repro.trace.segments import segment_trace
 from repro.trace.trace import TraceInfo
 
 #: Wall-clock bound on reading one mutant four ways.
@@ -204,9 +215,12 @@ def test_numpy_half_runs():
 _TEXT_IDS = (0, 1, 7, 4095, (1 << 63) - 1, (1 << 63) - 2)
 _TEXT_SITES = (0, 1, 17, -1, -(1 << 63), (1 << 63) - 1)
 _LINE_BREAKS = ("\n", "\n", "\r\n", "\r")
+_BLANKS = ("", "  ", "\t")
+#: Blank lines to ``str.split`` that ``bytes.strip`` keeps.
+_ODD_BLANKS = ("\x1c", "\x1f", " \x85", "\xa0", "\u2000\t", "\u3000")
 
 
-def _valid_text(rng: random.Random) -> bytes:
+def _valid_text(rng: random.Random, blanks=_BLANKS) -> bytes:
     """A random valid v1 text trace."""
     lines = []
     if rng.random() < 0.7:
@@ -217,7 +231,7 @@ def _valid_text(rng: random.Random) -> bytes:
         if r < 0.05:
             lines.append("# note {}".format(rng.randrange(100)))
         elif r < 0.1:
-            lines.append(rng.choice(["", "  ", "\t"]))
+            lines.append(rng.choice(blanks))
         else:
             line = format_event(Event(
                 rng.choice(_TEXT_IDS), rng.randrange(len(KIND_NAMES)),
@@ -228,7 +242,7 @@ def _valid_text(rng: random.Random) -> bytes:
     text = "".join(line + rng.choice(_LINE_BREAKS) for line in lines)
     if text and rng.random() < 0.3:
         text = text.rstrip("\r\n")  # no final line break
-    return text.encode("ascii")
+    return text.encode("utf-8")
 
 
 def _mutate_text(blob: bytes, rng: random.Random) -> bytes:
@@ -282,10 +296,18 @@ def _read_text(blob: bytes, short: bool, rng: random.Random):
     """Read ``blob`` with the text reader; returns ``(events,
     error_message)`` as :func:`_text_reference` does."""
     source = _ShortReader(blob, rng) if short else io.BytesIO(blob)
-    events = []
     try:
         stream = stream_trace(source)
-        assert isinstance(stream, TraceStream)
+    except TraceFormatError as exc:
+        return [], str(exc)
+    return _drain_text(stream, rng)
+
+
+def _drain_text(stream, rng: random.Random):
+    """:func:`_read_text` on an open text reader."""
+    assert isinstance(stream, TraceStream)
+    events = []
+    try:
         while True:
             kinds, tids, targets, sites = stream.read_columns(
                 rng.randint(1, 600))
@@ -335,3 +357,200 @@ def test_unmutated_text_round_trips(fuzz_count):
         assert want[1] is None
         for short in (False, True):
             assert _read_text(blob, short, rng) == want
+
+
+# ---------------------------------------------------------------------------
+# v1 text as the writer shapes it: the reader's block fast path
+# ---------------------------------------------------------------------------
+
+#: Numbers at the fast path's 18-digit limit and at 2**63.
+_EDGE_NUMBERS = (10 ** 18 - 1, 10 ** 18, (1 << 63) - 1, 1 << 63)
+
+#: Rare defects put inside a clean run of lines.
+_LINE_DEFECTS = ("tab", "double space", "trailing space", "@+7", "@-1",
+                 "prefix run", "non-ASCII digit", "three tokens")
+_INSERTED_LINES = ("\x1c", "# note", "")
+_BREAK_DEFECTS = ("\r\n", "no final break")
+
+
+def _writer_number(rng: random.Random) -> int:
+    """Mostly 1–18 digits; rarely 19 digits or an edge value."""
+    r = rng.random()
+    if r < 0.002:
+        return rng.choice(_EDGE_NUMBERS)
+    digits = 19 if r < 0.004 else rng.randint(1, 18)
+    return rng.randrange(10 ** (digits - 1) if digits > 1 else 0,
+                         10 ** digits)
+
+
+def _writer_text(rng: random.Random) -> bytes:
+    """A text trace as ``format_event`` writes it, with ``\\n`` breaks
+    and up to two rare defects; some blobs span several 16 KiB blocks."""
+    lines = []
+    if rng.random() < 0.9:
+        lines.append(header_line(TraceInfo(8, 16, 64, 2, 2,
+                                           rng.choice([0, 40]))))
+    first = len(lines)
+    n = rng.randint(0, 1200 if rng.random() < 0.125 else 400)
+    for _ in range(n):
+        lines.append(format_event(Event(
+            _writer_number(rng), rng.randrange(len(KIND_NAMES)),
+            _writer_number(rng), _writer_number(rng))))
+    breaks_defects = []
+    for _ in range(rng.choice([0, 0, 1, 1, 2])):
+        how = rng.choice(_LINE_DEFECTS + _INSERTED_LINES + _BREAK_DEFECTS)
+        if how in _BREAK_DEFECTS:
+            breaks_defects.append(how)
+            continue
+        at = rng.randint(first, len(lines))
+        if how in _INSERTED_LINES:
+            lines.insert(at, how)
+            continue
+        tokens = lines[at].split(" ") if at < len(lines) else []
+        if len(tokens) != 4:
+            continue  # no clean event line to spoil here
+        if how == "tab":
+            tokens[:2] = [tokens[0] + "\t" + tokens[1]]
+        elif how == "double space":
+            tokens[1] = " " + tokens[1]
+        elif how == "trailing space":
+            tokens[-1] += " "
+        elif how in ("@+7", "@-1"):
+            tokens[3] = how
+        elif how == "prefix run":
+            tokens[2] = tokens[2][0] + tokens[2]
+        elif how == "non-ASCII digit":
+            tokens[0] = "T١"  # ARABIC-INDIC DIGIT ONE: isdecimal()
+        else:
+            del tokens[3]
+        lines[at] = " ".join(tokens)
+    breaks = ["\n"] * len(lines)
+    for how in breaks_defects:
+        if lines and how == "\r\n":
+            breaks[rng.randrange(len(lines))] = "\r\n"
+        elif lines:
+            breaks[-1] = ""
+    return "".join(line + brk for line, brk in zip(lines, breaks)).encode()
+
+
+class _CountingPattern:
+    """A compiled pattern that counts the blocks it fully matches."""
+
+    def __init__(self, pattern):
+        self._pattern = pattern
+        self.matched = 0
+
+    def fullmatch(self, *args):
+        match = self._pattern.fullmatch(*args)
+        self.matched += match is not None
+        return match
+
+
+def test_writer_shaped_text_decodes_like_the_line_parser(fuzz_count,
+                                                         monkeypatch):
+    rng = random.Random(0xC1EA7)
+    clean = _CountingPattern(text_format._CLEAN)
+    monkeypatch.setattr(text_format, "_CLEAN", clean)
+    errors = 0
+    for trial in range(fuzz_count):
+        blob = _writer_text(rng)
+        for data in (blob, _mutate_text(blob, rng)):
+            if data.startswith(MAGIC):
+                continue  # a binary trace now: not this property
+            want = _text_reference(data)
+            start = time.perf_counter()
+            for short in (False, True):
+                got = _read_text(data, short, rng)
+                assert _same_outcome(got, want), \
+                    "trial {}: short={} got {} vs reference {}".format(
+                        trial, short, got[1], want[1])
+            assert time.perf_counter() - start < TIME_BOUND_S, trial
+            errors += want[1] is not None
+    # the fast path ran, and the defects and mutations reached the errors
+    assert clean.matched >= fuzz_count
+    assert errors >= fuzz_count // 4
+
+
+def test_clean_trace_never_reaches_the_line_parser(monkeypatch):
+    """A canonical trace, header included, decodes entirely on the
+    block fast path, through column reads and through iteration."""
+    rng = random.Random(5)
+    events = [Event(rng.randrange(16), rng.randrange(len(KIND_NAMES)),
+                    rng.randrange(1 << 20), rng.randrange(1 << 12))
+              for _ in range(12000)]
+    blob = (header_line(TraceInfo(16, 1 << 20, 1 << 20, 0, 0, len(events)))
+            + "\n" + "".join(format_event(e) + "\n" for e in events)
+            ).encode()
+
+    def refuse(line, lineno):
+        raise AssertionError("line {} reached the line parser".format(
+            lineno))
+
+    monkeypatch.setattr(text_format, "_parse_line", refuse)
+    want = [(e.kind, e.tid, e.target, e.site) for e in events]
+    stream = stream_trace(io.BytesIO(blob))
+    got = []
+    while True:
+        cols = stream.read_columns(rng.randint(1, 5000))
+        if not cols[0]:
+            break
+        got.extend(zip(*cols))
+    assert got == want
+    assert [(e.kind, e.tid, e.target, e.site)
+            for e in stream_trace(io.BytesIO(blob))] == want
+
+
+def test_segment_scan_counts_lines_like_the_reader(fuzz_count, tmp_path):
+    """``segment_trace`` counts the events the reader reads; cutting the
+    trace at a boundary leaves exactly that many segments of events; and
+    the result cache's suffix read from a boundary names a bad line as a
+    whole read does.  Lines of characters that ``str.split`` takes for
+    whitespace (and ``bytes.strip`` does not) are blank to all three."""
+    assert all(not b.split() and b.encode().strip() for b in _ODD_BLANKS)
+    rng = random.Random(0x5E65)
+    path = str(tmp_path / "t.trace")
+    checked = 0
+    for trial in range(fuzz_count):
+        blob = _valid_text(rng, blanks=_BLANKS + _ODD_BLANKS)
+        if not blob.startswith(b"# repro trace v1:"):
+            continue  # segmenting needs the header
+        seg = rng.randint(1, 30)
+        segs = segment_trace(blob, seg)
+        events, error = _read_text(blob, False, rng)
+        assert error is None
+        assert segs.total_events == len(events), trial
+        for k, end in enumerate(segs.boundaries, 1):
+            cut = blob[:segs.header_end + end]
+            assert _read_text(cut, False, rng) == (events[:k * seg], None)
+
+        bad = blob + b"\nT0 bogus x1 @1\n"
+        want = _read_text(bad, False, rng)[1]
+        assert "'bogus'" in want
+        with open(path, "wb") as fp:
+            fp.write(bad)
+        segs = segment_trace(path, seg)
+        for k, end in enumerate(segs.boundaries, 1):
+            if segs.header_end + end == len(bad):
+                continue  # the bad line ends the last segment
+            got = _drain_text(_suffix_stream(path, segs, k * seg), rng)
+            assert got[1] == want, trial
+        checked += 1
+    assert checked >= fuzz_count // 2
+
+
+@pytest.mark.parametrize("brk", ["\n", "\r\n", "\r"])
+def test_line_breaks_around_the_block_bound(brk):
+    """Shifting a trace byte by byte puts each of its line breaks — a
+    ``\\r\\n`` split between two blocks included — on every side of the
+    reader's 16 KiB block bound; reads and the segment scan still match
+    the line-by-line reference."""
+    rng = random.Random(3)
+    lines = [format_event(Event(i % 4, i % len(KIND_NAMES), i, i))
+             for i in range(1200)]
+    body = "".join(line + brk for line in lines)
+    for shift in range(24):
+        blob = ("# repro trace v1: threads=4 locks=1200 vars=1200\n"
+                + "#" * shift + brk + body).encode()
+        want = _text_reference(blob)
+        assert want == _read_text(blob, False, rng)
+        assert segment_trace(blob, 7).total_events == len(want[0]) == 1200

@@ -4,7 +4,8 @@ import pytest
 
 from repro.clocks.vector_clock import VectorClock
 from repro.core.rule_b import RuleBQueues
-from repro.harness.model import COEFF, TraceProfile, modeled_nanos, modeled_slowdown
+from repro.harness.model import (COEFF, TraceProfile, modeled_nanos,
+                                 modeled_slowdown, profile)
 from repro.trace import TraceBuilder
 
 
@@ -98,6 +99,14 @@ class TestCostModel:
             return modeled_nanos(t, "fto-dc") / modeled_nanos(t, "st-dc")
 
         assert gap(locked) > gap(lock_free)
+
+    def test_profile_follows_the_trace_not_its_address(self):
+        """Traces that come and go each get their own profile, also when
+        one lands at a freed trace's address (CPython reuses addresses
+        at once, so the gap test above depends on this too)."""
+        for _ in range(1000):
+            assert profile(self.make_trace(cs=True)).acquires == 20
+            assert profile(self.make_trace(cs=False)).acquires == 0
 
     def test_unknown_program_uses_default_app(self):
         trace = self.make_trace()
